@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.mvd import MVD
@@ -135,7 +137,7 @@ class EntropyEngine(ABC):
         }
 
 
-def entropy_from_group_sizes(sizes: Iterable[int], n_rows: int) -> float:
+def entropy_from_group_sizes(sizes: Sequence[int] | np.ndarray, n_rows: int) -> float:
     """H from the multiset of value-group sizes (Eq. 5), in bits.
 
     Groups of size 1 contribute 0 (``1 * log 1``), which is the
@@ -144,5 +146,7 @@ def entropy_from_group_sizes(sizes: Iterable[int], n_rows: int) -> float:
     """
     if n_rows <= 0:
         return 0.0
-    s = sum(c * math.log2(c) for c in sizes if c > 1)
+    c = np.asarray(sizes, dtype=np.float64)
+    c = c[c > 1]
+    s = float((c * np.log2(c)).sum())
     return max(0.0, math.log2(n_rows) - s / n_rows)

@@ -5,9 +5,18 @@ produces, per attribute, a *stripped partition* (value groups of size
 >= 2; singleton groups are dropped because ``1 * log 1 = 0`` in Eq. 5).
 Partitions for attribute sets are composed by intersecting row-group
 labels -- the numpy analog of the paper's ``TID`` join on tuple ids in
-the in-memory H2 database. Composed partitions are LRU-cached by sorted
-attribute prefix, so the miner's many correlated queries (``H(X)``,
-``H(XY)``, ``H(XYZ)`` ...) share work.
+the in-memory H2 database. Composed partitions are LRU-cached by
+attribute set. A miss on ``X`` costs one composition whenever some
+``X - {a}`` is cached (a base partition when ``|X| = 2``): it is
+intersected with the base partition of ``a``, trying the last attribute
+first. Only when no such subset is cached is the prefix of ``X`` built
+recursively. The miner's many correlated queries (``H(X)``, ``H(XY)``,
+``H(XYZ)`` ...) therefore share work whatever order they arrive in.
+
+Intersecting partitions with ``n1`` and ``n2`` groups over ``N`` rows
+labels each row with its cell ``c1 * n2 + c2`` in the grid of group
+pairs. When ``n1 * n2 <= 8 N`` the cells are counted densely, with one
+``bincount`` over the grid; otherwise they are factorized first.
 
 Representation: a partition of attribute set ``a`` is an int array of
 length N mapping each row to its value-group id, with ``-1`` for rows
@@ -37,9 +46,9 @@ def _strip(codes: np.ndarray, counts: np.ndarray) -> _Partition:
     k = int(keep.sum())
     if k == 0:
         return _ALL_SINGLETON
-    remap = np.full(len(counts), -1, dtype=np.int64)
-    remap[keep] = np.arange(k)
-    return remap[codes].astype(np.int32), k, counts[keep].astype(np.int64)
+    remap = np.full(len(counts), -1, dtype=np.int32)
+    remap[keep] = np.arange(k, dtype=np.int32)
+    return remap[codes], k, counts[keep]
 
 
 def _factorize_strip(values: np.ndarray) -> _Partition:
@@ -48,27 +57,29 @@ def _factorize_strip(values: np.ndarray) -> _Partition:
     return _strip(codes, counts)
 
 
+#: Largest ``n1 * n2 / N`` for which ``_combine`` counts cells densely.
+_DENSE_CELLS_PER_ROW = 8
+
+
 def _combine(p1: _Partition, p2: _Partition) -> _Partition:
     """Partition of a union from the partitions of two disjoint sets."""
     c1, n1, _ = p1
     c2, n2, _ = p2
     if c1 is None or c2 is None:
         return _ALL_SINGLETON
-    valid = (c1 >= 0) & (c2 >= 0)
-    if not valid.any():
-        return _ALL_SINGLETON
-    pair = c1[valid].astype(np.int64) * n2 + c2[valid]
-    codes, _ = pd.factorize(pair)
+    # Each row's cell in the n1 x n2 grid of group pairs. Rows pruned on
+    # either side go to one sentinel cell past the grid.
+    n_cells = n1 * n2
+    cells = c1.astype(np.int64) * n2 + c2
+    cells[(c1 < 0) | (c2 < 0)] = n_cells
+    if n_cells <= _DENSE_CELLS_PER_ROW * len(cells):
+        counts = np.bincount(cells, minlength=n_cells + 1)
+        counts[n_cells] = 0
+        return _strip(cells, counts)
+    codes, uniq = pd.factorize(cells)
     counts = np.bincount(codes)
-    keep = counts >= 2
-    k = int(keep.sum())
-    if k == 0:
-        return _ALL_SINGLETON
-    remap = np.full(len(counts), -1, dtype=np.int64)
-    remap[keep] = np.arange(k)
-    out = np.full(c1.shape, -1, dtype=np.int32)
-    out[valid] = remap[codes]
-    return out, k, counts[keep].astype(np.int64)
+    counts[uniq == n_cells] = 0
+    return _strip(codes, counts)
 
 
 class LocalPLIEngine(EntropyEngine):
@@ -110,18 +121,29 @@ class LocalPLIEngine(EntropyEngine):
     def _key(self, fs: frozenset) -> tuple:
         return tuple(sorted(fs, key=self._order.__getitem__))
 
+    def _cached(self, key: tuple) -> Optional[_Partition]:
+        """The partition of a non-empty sorted key if it is at hand."""
+        if len(key) == 1:
+            return self._base[key[0]]
+        part = self._parts.get(key)
+        if part is not None:
+            self._parts.move_to_end(key)
+        return part
+
     def partition(self, cols: Iterable[str]) -> _Partition:
         key = self._key(frozenset(cols))
         if not key:
             raise ValueError("empty attribute set has no partition")
-        if len(key) == 1:
-            return self._base[key[0]]
-        hit = self._parts.get(key)
-        if hit is not None:
-            self._parts.move_to_end(key)
-            return hit
-        prefix = self.partition(key[:-1])
-        part = _combine(prefix, self._base[key[-1]])
+        part = self._cached(key)
+        if part is not None:
+            return part
+        for i in reversed(range(len(key))):
+            sub = self._cached(key[:i] + key[i + 1:])
+            if sub is not None:
+                part = _combine(sub, self._base[key[i]])
+                break
+        else:
+            part = _combine(self.partition(key[:-1]), self._base[key[-1]])
         self._parts[key] = part
         while len(self._parts) > self._max_entries:
             self._parts.popitem(last=False)
@@ -132,4 +154,4 @@ class LocalPLIEngine(EntropyEngine):
         _, _, counts = self.partition(cols)
         if counts is None:
             return self.log2_n
-        return entropy_from_group_sizes(counts.tolist(), self.n_rows)
+        return entropy_from_group_sizes(counts, self.n_rows)

@@ -8,6 +8,10 @@ import pandas as pd
 
 from repro.entropy.local_pli import LocalPLIEngine
 
+#: Values of ``local_pli._DENSE_CELLS_PER_ROW`` that force each
+#: ``_combine`` kernel: bincount over the grid, or factorizing the cells.
+COMBINE_KERNELS = {"dense": math.inf, "factorize": -1}
+
 
 def fig1_relation() -> pd.DataFrame:
     """Our transcription of the paper's Fig. 1 relation (4 rows over
@@ -57,7 +61,11 @@ def engine_of(pdf: pd.DataFrame, **kw) -> LocalPLIEngine:
 
 
 def naive_entropy(pdf: pd.DataFrame, cols) -> float:
-    """Direct Eq. (5) in pandas, the reference for every engine."""
+    """Direct Eq. (5) in pandas, the reference for every engine.
+
+    NULLs (``None`` and ``NaN`` alike) form one value group, as in SQL
+    ``GROUP BY``.
+    """
     n = len(pdf)
-    counts = pdf.groupby(list(cols), observed=True).size().to_numpy()
+    counts = pdf.groupby(list(cols), observed=True, dropna=False).size().to_numpy()
     return math.log2(n) - sum(c * math.log2(c) for c in counts) / n

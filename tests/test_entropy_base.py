@@ -2,6 +2,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from repro.entropy.base import entropy_from_group_sizes
@@ -24,6 +25,35 @@ def test_entropy_from_group_sizes_single_group():
 
 def test_entropy_from_group_sizes_empty_relation():
     assert entropy_from_group_sizes([], 0) == 0.0
+
+
+def generator_entropy(sizes, n_rows: int) -> float:
+    """The scalar loop the vectorized reduction replaced: the reference."""
+    s = sum(c * math.log2(c) for c in sizes if c > 1)
+    return max(0.0, math.log2(n_rows) - s / n_rows)
+
+
+def test_entropy_from_group_sizes_int64_array():
+    sizes = np.array([2, 2, 2, 2], dtype=np.int64)
+    assert entropy_from_group_sizes(sizes, 8) == pytest.approx(2.0)
+    assert entropy_from_group_sizes(np.array([], dtype=np.int64), 4) == pytest.approx(2.0)
+
+
+def test_entropy_from_group_sizes_huge_group():
+    n = 10**6
+    assert entropy_from_group_sizes(np.array([n], dtype=np.int64), n) == pytest.approx(0.0)
+    # One group of 10^6 rows plus 10^6 singletons: H = 1 + log2(10^6) / 2.
+    h = entropy_from_group_sizes(np.array([n], dtype=np.int64), 2 * n)
+    assert h == pytest.approx(1 + math.log2(n) / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_entropy_from_group_sizes_matches_generator(seed):
+    g = np.random.default_rng(seed)
+    sizes = g.integers(1, g.integers(2, 2000), size=g.integers(1, 3000))
+    n_rows = int(sizes.sum()) + int(g.integers(0, 100))  # plus pruned singletons
+    expected = generator_entropy(sizes.tolist(), n_rows)
+    assert entropy_from_group_sizes(sizes, n_rows) == pytest.approx(expected, abs=1e-12)
 
 
 def test_empty_set_entropy_is_zero():

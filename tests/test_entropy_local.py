@@ -1,17 +1,51 @@
 """LocalPLIEngine vs the direct Eq. (5) reference, plus PLI internals."""
 import math
+import random
 from itertools import combinations
 
 import numpy as np
 import pandas as pd
 import pytest
 
+import repro.entropy.local_pli as local_pli
 from repro.entropy.local_pli import LocalPLIEngine, _combine, _factorize_strip
-from tests.helpers import naive_entropy, random_relation
+from tests.helpers import COMBINE_KERNELS, naive_entropy, random_relation
 
 SUBSETS_4 = [
     "".join(c) for r in (1, 2, 3, 4) for c in combinations("ABCD", r)
 ]
+
+
+@pytest.fixture(params=sorted(COMBINE_KERNELS))
+def kernel(request, monkeypatch):
+    """Force one ``_combine`` kernel for the whole test."""
+    monkeypatch.setattr(local_pli, "_DENSE_CELLS_PER_ROW", COMBINE_KERNELS[request.param])
+    return request.param
+
+
+def assert_same_partition(part, ref_codes: np.ndarray) -> None:
+    """``part`` is the stripped form of the row grouping ``ref_codes``:
+    the same kept rows, the same groups up to relabeling, and ``counts[g]``
+    is the size of group ``g``."""
+    codes, k, counts = part
+    ref_counts = np.bincount(ref_codes)
+    assert k == int((ref_counts >= 2).sum())
+    if k == 0:
+        assert codes is None and counts is None
+        return
+    kept = ref_counts[ref_codes] >= 2
+    np.testing.assert_array_equal(codes >= 0, kept)
+    assert sorted(counts.tolist()) == sorted(ref_counts[ref_counts >= 2].tolist())
+    np.testing.assert_array_equal(np.bincount(codes[kept], minlength=k), counts)
+    # Each (ours, reference) label pair names one group: a bijection.
+    pairs = set(zip(codes[kept].tolist(), ref_codes[kept].tolist()))
+    assert len(pairs) == len(set(ref_codes[kept].tolist())) == k
+
+
+def joint_codes(*columns: np.ndarray) -> np.ndarray:
+    """Row grouping on several columns by one joint ``pd.factorize``."""
+    codes, _ = pd.factorize(pd.Series(list(zip(*columns))))
+    return codes
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -91,15 +125,31 @@ def test_combine_absorbs_all_singleton():
     assert _combine(none, p) == (None, 0, None)
 
 
-def test_combine_matches_joint_factorization():
+def test_combine_matches_joint_factorization(monkeypatch):
     a = np.array([0, 0, 1, 1, 2, 2, 0, 0])
     b = np.array([5, 5, 5, 5, 6, 7, 5, 6])
-    pa, pb = _factorize_strip(a), _factorize_strip(b)
-    codes, k, counts = _combine(pa, pb)
-    # joint groups of size >= 2: (0,5) x4... wait rows (0,5) at 0,1,6; (1,5) at 2,3
-    joint = pd.Series(list(zip(a, b)))
-    expected = sorted(c for c in joint.value_counts() if c >= 2)
-    assert sorted(counts.tolist()) == expected
+    # Joint groups: (0,5) at rows 0, 1, 6; (1,5) at 2, 3; the rest single.
+    for cells_per_row in COMBINE_KERNELS.values():
+        monkeypatch.setattr(local_pli, "_DENSE_CELLS_PER_ROW", cells_per_row)
+        part = _combine(_factorize_strip(a), _factorize_strip(b))
+        assert part[1] == 2
+        assert_same_partition(part, joint_codes(a, b))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n_vals,dense", [(3, True), (60, False), (1000, True)])
+def test_combine_kernels_match_joint_factorization(kernel, seed, n_vals, dense):
+    """Both kernels give the joint partition, on inputs from either side
+    of the dense cut-over; ``ABC`` also has pruned rows on both sides."""
+    pdf = random_relation(200, "ABC", n_vals, seed)
+    a, b, c = (pdf[col].to_numpy() for col in "ABC")
+    pa, pb, pc = (_factorize_strip(v) for v in (a, b, c))
+    # The side of the unpatched cut-over, 8 cells per row, for pa x pb.
+    assert (pa[1] * pb[1] <= 8 * 200) == dense
+    pab = _combine(pa, pb)
+    assert_same_partition(pab, joint_codes(a, b))
+    assert_same_partition(_combine(pab, pc), joint_codes(a, b, c))
+    assert_same_partition(_combine(pc, pab), joint_codes(a, b, c))
 
 
 def test_empty_partition_request_rejected():
@@ -120,3 +170,37 @@ def test_prefix_composition_order_invariance(seed):
         e2.entropy(cols)
     for cols in q1:
         assert e1.entropy(cols) == pytest.approx(e2.entropy(cols), abs=1e-12)
+
+
+SUBSETS_6 = [frozenset(c) for r in range(1, 7) for c in combinations("ABCDEF", r)]
+
+
+@pytest.mark.parametrize("cache_bytes", [1 << 30, 1])
+@pytest.mark.parametrize("order_seed", range(3))
+def test_any_query_order_matches_naive(order_seed, cache_bytes):
+    """H must not depend on which subsets happen to be cached, nor on
+    eviction (``cache_bytes=1`` keeps only 8 composed partitions)."""
+    pdf = random_relation(100, "ABCDEF", 3, 21)
+    queries = SUBSETS_6[:]
+    random.Random(order_seed).shuffle(queries)
+    eng = LocalPLIEngine(pdf, cache_bytes=cache_bytes)
+    for cols in queries:
+        assert eng.entropy(cols) == pytest.approx(naive_entropy(pdf, sorted(cols)), abs=1e-9)
+
+
+def test_miss_composes_from_any_cached_subset(monkeypatch):
+    calls = []
+
+    def counting_combine(p1, p2):
+        calls.append(1)
+        return _combine(p1, p2)
+
+    monkeypatch.setattr(local_pli, "_combine", counting_combine)
+    eng = LocalPLIEngine(random_relation(60, "ABCD", 3, 5))
+    eng.entropy("ABCD")  # nothing cached: ABCD <- ABC <- AB
+    assert len(calls) == 3
+    eng = LocalPLIEngine(random_relation(60, "ABCD", 3, 5))
+    eng.entropy("BCD")
+    calls.clear()
+    eng.entropy("ABCD")  # BCD is cached and is not a prefix
+    assert len(calls) == 1

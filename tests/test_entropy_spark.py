@@ -1,12 +1,17 @@
 """Spark entropy engines vs the local reference, plus the DuckDB oracle
 check of the Eq. (5) aggregation query itself."""
+from itertools import combinations
+
+import numpy as np
+import pandas as pd
 import pytest
 
+import repro.entropy.local_pli as local_pli
 from repro.entropy.local_pli import LocalPLIEngine
 from repro.entropy.spark_groupby import SparkGroupByEntropyEngine
 from repro.entropy.spark_pli import SparkPLIEntropyEngine
 from repro.oracle import assert_equivalent
-from tests.helpers import random_relation
+from tests.helpers import COMBINE_KERNELS, naive_entropy, random_relation
 
 QUERIES = ["A", "B", "AB", "CD", "ABC", "ACD", "ABCD"]
 
@@ -99,3 +104,55 @@ def test_entropy_stats_track_cache(gb_engine):
     gb_engine.entropy("AB")
     gb_engine.entropy("BA")
     assert gb_engine.entropy_computations <= before + 1
+
+
+def _edge_relations() -> dict[str, pd.DataFrame]:
+    dup = random_relation(40, "ABC", 3, 7)
+    return {
+        "nan": pd.DataFrame(
+            {"A": [1.0, np.nan, np.nan, 2.0, 1.0, np.nan], "B": [1, 1, 2, 2, 1, 1],
+             "C": [np.nan, np.nan, 0.5, 0.5, np.nan, 0.5]}
+        ),
+        "none": pd.DataFrame(
+            {"A": ["x", None, None, "y", "x", None], "B": [1, 1, 2, 2, 1, 1],
+             "C": [None, "u", "u", None, None, "u"]}
+        ),
+        "none_and_nan": pd.DataFrame(
+            {"A": [1.0, None, np.nan, 2.0, 1.0, None], "B": [1, 1, 2, 2, 1, 1]},
+            dtype=object,
+        ),
+        "duplicated_rows": pd.concat([dup, dup, dup.iloc[:5]], ignore_index=True),
+        "identical_rows": pd.DataFrame({"A": [3] * 5, "B": ["v"] * 5}),
+        "one_row": pd.DataFrame({"A": [1], "B": ["x"], "C": [2.5]}),
+        "one_column": pd.DataFrame({"A": [1, 1, 2, 3, 3, 3]}),
+        # Joined with \x1f, rows 0 and 1 would both read "a\x1fb\x1fc".
+        "separator": pd.DataFrame(
+            {"A": ["a\x1fb", "a", "a\x1fb", "a", "a\x1f"],
+             "B": ["c", "b\x1fc", "c", "b\x1fc", "\x1fb"]}
+        ),
+    }
+
+
+EDGE_RELATIONS = _edge_relations()
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_RELATIONS))
+def test_engines_agree_on_nulls_duplicates_and_degenerate_shapes(spark, monkeypatch, name):
+    """Local PLI (both kernels), Spark groupBy and direct Eq. (5) agree
+    to 1e-9; NULLs form one value group in every engine."""
+    pdf = EDGE_RELATIONS[name]
+    subsets = [
+        list(c) for r in range(1, len(pdf.columns) + 1) for c in combinations(pdf.columns, r)
+    ]
+    expected = [naive_entropy(pdf, cols) for cols in subsets]
+    gb = SparkGroupByEntropyEngine(spark.createDataFrame(pdf))
+    try:
+        for cols, h in zip(subsets, expected):
+            assert gb.entropy(cols) == pytest.approx(h, abs=1e-9), cols
+    finally:
+        gb.close()
+    for kernel in sorted(COMBINE_KERNELS):
+        monkeypatch.setattr(local_pli, "_DENSE_CELLS_PER_ROW", COMBINE_KERNELS[kernel])
+        eng = LocalPLIEngine(pdf)
+        for cols, h in zip(subsets, expected):
+            assert eng.entropy(cols) == pytest.approx(h, abs=1e-9), (kernel, cols)
