@@ -20,7 +20,7 @@ Implements Figures 3-6 of the paper plus the appendix optimization
   be applied eagerly.
 
 Deviations from the pseudocode, documented in DESIGN.md: a visited set
-over canonical partitions (the merge graph is a DAG), and an optional
+over canonical partitions (the merge graph is a DAG), and a
 post-filter dropping returned MVDs strictly refined by other returned
 MVDs (the paper's traversal can emit non-full satisfying MVDs).
 """
@@ -92,7 +92,6 @@ class MVDMiner:
         epsilon: float,
         *,
         optimized: bool = True,
-        prune_nonfull: bool = True,
         max_nodes_per_search: int = 50_000,
         deadline_s: float | None = None,
     ):
@@ -101,7 +100,6 @@ class MVDMiner:
         # All threshold comparisons use eps + FLOAT_TOL (see entropy.base).
         self.eps_eff = self.eps + FLOAT_TOL
         self.optimized = optimized
-        self.prune_nonfull = prune_nonfull
         self.max_nodes = max_nodes_per_search
         self.deadline = Deadline(deadline_s)
         self._sep_memo: dict[tuple[frozenset, str, str], bool] = {}
@@ -142,8 +140,6 @@ class MVDMiner:
         key: frozenset,
         pair: tuple[str, str] | None = None,
         k: float = math.inf,
-        *,
-        prune_nonfull: bool | None = None,
     ) -> list[MVD]:
         """Up to ``k`` full eps-MVDs with key ``key`` (separating ``pair``)."""
         key = frozenset(key)
@@ -196,11 +192,7 @@ class MVDMiner:
                         visited.add(child)
                         stack.append(child)
         mvds = [MVD.of(key, parts) for parts in found]
-        do_prune = self.prune_nonfull if prune_nonfull is None else prune_nonfull
-        if do_prune and len(mvds) > 1:
-            mvds = [
-                m for m in mvds if not any(o.strictly_refines(m) for o in mvds)
-            ]
+        mvds = [m for m in mvds if not any(o.strictly_refines(m) for o in mvds)]
         return sorted(mvds, key=str)
 
     # ------------------------------------------------------------------
@@ -216,7 +208,7 @@ class MVDMiner:
         if self.engine.mutual_info({a}, {b}, x) > self.eps_eff:
             ans = False
         else:
-            ans = bool(self.get_full_mvds(x, (a, b), k=1, prune_nonfull=False))
+            ans = bool(self.get_full_mvds(x, (a, b), k=1))
         self._sep_memo[memo_key] = ans
         return ans
 

@@ -1,77 +1,113 @@
 """Schema quality metrics used by the evaluation (Sec. 8.1, 8.2, 8.4).
 
 - ``spurious_pct``: E = (|join of bag projections| - |R|) / |R| * 100.
-  The acyclic join is executed as Spark DataFrame joins along the join
-  tree (distinct bag projections, natural-joined parent-to-child), so
-  Catalyst runs the same dataflow Yannakakis-style evaluation would.
+  Only the size of the acyclic join is needed, so it is counted, not
+  materialized: weights propagate bottom-up over the join tree
+  (Yannakakis, VLDB 1981; Abo Khamis, Ngo, Rudra, "FAQ", PODS 2016).
 - ``cell_savings_pct``: S = (cells(R) - sum cells(R[bag])) / cells(R),
   with cells = #rows * #columns of the distinct projections (Sec. 8.1).
 - ``schema_width`` / ``schema_int_width`` / #relations (Sec. 8.4) live
   in :mod:`repro.core.jointree`.
+
+Both metrics collect the schema's columns to the driver once and work on
+pandas frames there. ``R`` is a set of tuples (the paper's relations are
+sets), so ``|R|`` defaults to the number of distinct rows. NULL is one
+value in grouping and joining, as in the entropy engines.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.core.jointree import JoinTree, build_join_tree
 
+_INT64_MAX = np.iinfo(np.int64).max
+# Labels of the weight columns. Spark column names are strings, so
+# integer labels never clash with an attribute.
+_WEIGHT, _MESSAGE = 0, 1
 
-def _tree_join(df: DataFrame, tree: JoinTree) -> DataFrame:
-    """Natural join of distinct bag projections along the join tree.
 
-    Joining in BFS tree order guarantees every join's key is exactly the
-    edge separator (running intersection), so no cross product appears
-    unless an edge separator is empty (attribute-disjoint components).
+def _distinct_projections(
+    df: DataFrame, bags: Sequence[frozenset]
+) -> Iterator[pd.DataFrame]:
+    """Each bag's distinct projection, from one collect of the bags' columns."""
+    pdf = df.select(*sorted(frozenset().union(*bags))).toPandas()
+    for bag in bags:
+        yield pdf[sorted(bag)].drop_duplicates(ignore_index=True)
+
+
+def _checked_sum(w: pd.Series) -> int:
+    """Exact sum of non-negative int64 counts; raises instead of wrapping.
+
+    A running sum of values <= 2**63 - 1 turns negative at its first
+    overflow, so a negative prefix sum detects every overflow.
     """
-    projections = [df.select(*sorted(bag)).distinct() for bag in tree.bags]
-    n = len(tree.bags)
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    if (np.cumsum(w.to_numpy()) < 0).any():
+        raise OverflowError("join size exceeds 2**63 - 1")
+    return int(w.sum())
+
+
+def _checked_mul(a: pd.Series, b: pd.Series | int) -> np.ndarray:
+    """Elementwise product of non-negative int64 counts; raises instead
+    of wrapping."""
+    a, b = a.to_numpy(), np.asarray(b, dtype=np.int64)
+    if np.any(a > _INT64_MAX // np.maximum(b, 1)):
+        raise OverflowError("join size exceeds 2**63 - 1")
+    return a * b
+
+
+def _join_size(tree: JoinTree, frames: list[pd.DataFrame]) -> int:
+    """|R[bag_1] |><| ... |><| R[bag_m]| by count propagation, leaves first.
+
+    A bag tuple's weight is the number of join tuples of its subtree that
+    extend it. A child sends its parent the sum of its weights per
+    separator value; the parent multiplies them in, and tuples without a
+    partner drop out. An empty separator sends one scalar. Every
+    intermediate weight is at most the join size, because all bags
+    project one relation, so a join size below 2**63 never overflows.
+    """
+    adj: dict[int, list[int]] = {i: [] for i in range(len(tree.bags))}
     for u, v in tree.edges:
         adj[u].append(v)
         adj[v].append(u)
-    visited = {0}
+    parent = {0: -1}
     order = [0]
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in visited:
-                visited.add(w)
-                order.append(w)
-                stack.append(w)
-    # A join tree built by build_join_tree is connected (empty-separator
-    # edges connect attribute-disjoint components), so order covers all.
-    joined = projections[order[0]]
-    acc_cols = set(tree.bags[order[0]])
-    for idx in order[1:]:
-        common = sorted(acc_cols & set(tree.bags[idx]))
-        if common:
-            joined = joined.join(projections[idx], on=common, how="inner")
-        else:
-            joined = joined.crossJoin(projections[idx])
-        acc_cols |= set(tree.bags[idx])
-    return joined
-
-
-def acyclic_join(df: DataFrame, bags: Iterable[Iterable[str]]) -> DataFrame:
-    """The full join of the schema's projections, R[bag1] |><| ... ."""
-    tree = build_join_tree(bags)
-    if tree is None:
-        raise ValueError("schema is not acyclic")
-    return _tree_join(df, tree)
+    for u in order:  # BFS: every node comes after its parent
+        for v in adj[u]:
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+    for f in frames:
+        f[_WEIGHT] = np.ones(len(f), dtype=np.int64)
+    for c in reversed(order[1:]):
+        p = parent[c]
+        sep = sorted(tree.bags[c] & tree.bags[p])
+        # Each per-separator sum is at most the total, so no sum below wraps.
+        total = _checked_sum(frames[c][_WEIGHT])
+        if not sep:
+            frames[p][_WEIGHT] = _checked_mul(frames[p][_WEIGHT], total)
+            continue
+        msg = (
+            frames[c].groupby(sep, dropna=False, sort=False)[_WEIGHT].sum()
+            .rename(_MESSAGE).reset_index()
+        )
+        merged = frames[p].merge(msg, on=sep)
+        merged[_WEIGHT] = _checked_mul(merged[_WEIGHT], merged.pop(_MESSAGE))
+        frames[p] = merged
+    return _checked_sum(frames[0][_WEIGHT])
 
 
 def spurious_pct(df: DataFrame, bags: Iterable[Iterable[str]], n_rows: int | None = None) -> float:
-    """Percentage of spurious tuples E of the decomposition (Sec. 8.1).
-
-    ``df`` is treated as a set of tuples (the paper's relations are
-    sets); duplicates are dropped before counting.
-    """
+    """Percentage of spurious tuples E of the decomposition (Sec. 8.1)."""
+    tree = build_join_tree(bags)
+    if tree is None:
+        raise ValueError("schema is not acyclic")
     if n_rows is None:
         n_rows = df.distinct().count()
-    join_count = acyclic_join(df, bags).count()
+    join_count = _join_size(tree, list(_distinct_projections(df, tree.bags)))
     return 100.0 * (join_count - n_rows) / n_rows
 
 
@@ -79,25 +115,7 @@ def cell_savings_pct(df: DataFrame, bags: Iterable[Iterable[str]], n_rows: int |
     """Percentage of cells saved by storing projections instead of R."""
     bags = [frozenset(b) for b in bags]
     if n_rows is None:
-        n_rows = df.count()
-    n_cols = len(df.columns)
-    orig = n_rows * n_cols
-    dec = sum(df.select(*sorted(b)).distinct().count() * len(b) for b in bags)
-    return 100.0 * (orig - dec) / orig
-
-
-def schema_report(
-    df: DataFrame, bags: Sequence[frozenset], n_rows: int | None = None
-) -> dict:
-    """E, S, width, intWidth, #relations for one schema (Fig 10 row)."""
-    from repro.core.jointree import schema_int_width, schema_width
-
-    if n_rows is None:
         n_rows = df.distinct().count()
-    return {
-        "n_relations": len(bags),
-        "width": schema_width(bags),
-        "int_width": schema_int_width(bags),
-        "spurious_pct": spurious_pct(df, bags, n_rows),
-        "savings_pct": cell_savings_pct(df, bags, n_rows),
-    }
+    orig = n_rows * len(df.columns)
+    dec = sum(len(p) * len(b) for p, b in zip(_distinct_projections(df, bags), bags))
+    return 100.0 * (orig - dec) / orig

@@ -4,8 +4,9 @@ Sweep the threshold from 0 to 0.5, enumerate acyclic schemes, and for
 each report its J-measure, storage savings S and spurious-tuple rate E,
 then extract the pareto-optimal schemes (the paper's Fig 10 shows the
 ten pareto schemes; Fig 11 the full S-vs-E cloud of 415 schemes).
-Spurious tuples and savings are computed by Spark DataFrame joins over
-the bag projections (see core.quality).
+Spurious tuples and savings are computed on the driver from one collect
+of each scheme's columns; the join is counted over the join tree, not
+materialized (see core.quality).
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ def run_nursery(
     schemes, _ = mine_nursery_schemas(
         thresholds=thresholds, max_schemas_per_eps=max_schemas_per_eps, noise=noise
     )
-    # Quality (Spark joins) for up to quality_cap schemes, stratified
+    # Quality for up to quality_cap schemes, stratified
     # across the J range so the S-vs-E cloud spans like Fig 11.
     if len(schemes) > quality_cap:
         idx = np.unique(np.linspace(0, len(schemes) - 1, quality_cap).astype(int))

@@ -9,7 +9,6 @@ import pytest
 import repro.entropy.local_pli as local_pli
 from repro.entropy.local_pli import LocalPLIEngine
 from repro.entropy.spark_groupby import SparkGroupByEntropyEngine
-from repro.entropy.spark_pli import SparkPLIEntropyEngine
 from repro.oracle import assert_equivalent
 from tests.helpers import COMBINE_KERNELS, naive_entropy, random_relation
 
@@ -34,28 +33,11 @@ def gb_engine(data):
     eng.close()
 
 
-@pytest.fixture(scope="module")
-def pli_engine(data):
-    _, df = data
-    eng = SparkPLIEntropyEngine(df, block_size=2, max_persisted=32)
-    yield eng
-    eng.close()
-
-
 @pytest.mark.parametrize("cols", QUERIES)
 def test_groupby_engine_matches_local(data, gb_engine, cols):
     pdf, _ = data
     local = LocalPLIEngine(pdf)
     assert gb_engine.entropy(cols) == pytest.approx(local.entropy(cols), abs=1e-9)
-
-
-@pytest.mark.parametrize("cols", ["A", "AB", "ABC", "ABCD", "BD"])
-def test_spark_pli_engine_matches_local(data, pli_engine, cols):
-    """The CNT/TID dataflow (Sec. 6.3) must agree with direct Eq. (5),
-    across blocks (block_size=2 forces cross-block composition)."""
-    pdf, _ = data
-    local = LocalPLIEngine(pdf)
-    assert pli_engine.entropy(cols) == pytest.approx(local.entropy(cols), abs=1e-9)
 
 
 def test_from_spark_equals_from_pandas(data):
@@ -90,13 +72,6 @@ def test_groupby_aggregation_oracle(spark, data):
         """,
         r=pdf,
     )
-
-
-def test_spark_pli_tid_tables_prune_singletons(spark, pli_engine):
-    """Every base TID table only contains values occurring >= 2 times."""
-    t = pli_engine.tid_table(["A"])
-    counts = t.groupBy("val").count().toPandas()
-    assert (counts["count"] >= 2).all()
 
 
 def test_entropy_stats_track_cache(gb_engine):

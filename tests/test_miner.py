@@ -127,7 +127,7 @@ def test_sec52_exact_separators():
 def test_k_limits_results():
     eng = LocalPLIEngine(sec52_relation())
     miner = MVDMiner(eng, 1.0)
-    assert len(miner.get_full_mvds(frozenset("X"), k=1, prune_nonfull=False)) == 1
+    assert len(miner.get_full_mvds(frozenset("X"), k=1)) == 1
 
 
 def test_pair_in_key_rejected():
