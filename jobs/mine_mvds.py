@@ -29,7 +29,7 @@ if __name__ == "__main__":
     cap = int(sys.argv[3]) if len(sys.argv) > 3 else 2_000
     res, schemas = run(spark, name, eps, cap)
     print(f"{name}: eps={eps} -> {res.n_full_mvds} full MVDs "
-          f"({res.n_minseps} minseps, {res.elapsed:.1f}s, timed_out={res.timed_out})")
+          f"({res.n_minseps} minseps, {res.elapsed:.1f}s, complete={res.complete})")
     for m in res.full_mvds[:50]:
         print("  ", m)
     print(f"{len(schemas)} schemas (first 20):")

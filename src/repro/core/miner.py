@@ -17,7 +17,14 @@ Implements Figures 3-6 of the paper plus the appendix optimization
   pairwise-consistency closure of Fig 16 as sound-and-complete pruning:
   if I(Ci;Cj|S) > eps then *every* satisfying coarsening merges Ci and
   Cj (I is monotone under grouping and bounded by J), so the merge can
-  be applied eagerly.
+  be applied eagerly. The closure is incremental: each dependence test
+  ``I(Ci;Cj|S) > eps`` is memoized per miner (:meth:`MVDMiner._dependent`),
+  and a DFS child re-checks only its merged block against the parent's
+  other blocks, which are already pairwise independent.
+
+A search that hits ``max_nodes_per_search`` is counted as truncated; its
+"no" is not memoized by :meth:`MVDMiner.separates`, and
+:attr:`MinerResult.complete` reports the run as partial.
 
 Deviations from the pseudocode, documented in DESIGN.md: a visited set
 over canonical partitions (the merge graph is a DAG), and a
@@ -58,7 +65,7 @@ class Deadline:
 
 @dataclass
 class MinerResult:
-    """Output of a mining run; partial if ``timed_out``."""
+    """Output of a mining run; partial unless :attr:`complete`."""
 
     epsilon: float
     minseps: dict[tuple[str, str], list[frozenset]] = field(default_factory=dict)
@@ -66,6 +73,11 @@ class MinerResult:
     timed_out: bool = False
     elapsed: float = 0.0
     stats: dict = field(default_factory=dict)
+
+    @property
+    def complete(self) -> bool:
+        """False if the deadline or a search's node budget cut the run."""
+        return not self.timed_out and not self.stats.get("truncated_searches", 0)
 
     @property
     def n_minseps(self) -> int:
@@ -80,7 +92,14 @@ _Node = tuple[frozenset, ...]
 
 
 def _canon(parts: Iterable[frozenset]) -> _Node:
-    return tuple(sorted(parts, key=lambda p: tuple(sorted(p))))
+    # Blocks are disjoint and non-empty, so their minima are distinct.
+    return tuple(sorted(parts, key=min))
+
+
+#: Per-miner counters reported in ``MinerResult.stats`` (per run).
+_COUNTERS = (
+    "nodes_explored", "truncated_searches", "dependence_tests", "dependence_memo_hits",
+)
 
 
 class MVDMiner:
@@ -103,37 +122,58 @@ class MVDMiner:
         self.max_nodes = max_nodes_per_search
         self.deadline = Deadline(deadline_s)
         self._sep_memo: dict[tuple[frozenset, str, str], bool] = {}
+        # (key, Ci, Cj) with min(Ci) < min(Cj) -> I(Ci;Cj|key) > eps.
+        self._dep_memo: dict[tuple[frozenset, frozenset, frozenset], bool] = {}
         # Fixed global ordering p used by ReduceMinSep (Theorem 6.2).
         self.ordering: tuple[str, ...] = tuple(sorted(engine.columns))
         self.nodes_explored = 0
+        self.truncated_searches = 0
+        self.dependence_tests = 0
+        self.dependence_memo_hits = 0
 
     # ------------------------------------------------------------------
     # getFullMVDs (Fig 6 / Fig 17)
     # ------------------------------------------------------------------
+    def _dependent(self, key: frozenset, ci: frozenset, cj: frozenset) -> bool:
+        """Memoized dependence test I(Ci;Cj|key) > eps."""
+        memo_key = (key, ci, cj) if min(ci) < min(cj) else (key, cj, ci)
+        dep = self._dep_memo.get(memo_key)
+        if dep is None:
+            self.dependence_tests += 1
+            dep = self.engine.mutual_info(ci, cj, key) > self.eps_eff
+            self._dep_memo[memo_key] = dep
+        else:
+            self.dependence_memo_hits += 1
+        return dep
+
     def _closure(
-        self, key: frozenset, parts: list[frozenset], pair: tuple[str, str] | None
+        self,
+        key: frozenset,
+        done: list[frozenset],
+        todo: list[frozenset],
+        pair: tuple[str, str] | None,
     ) -> _Node | None:
-        """Pairwise-consistency closure (Fig 16): merge every dependent
-        pair with I(Ci;Cj|key) > eps; None if A,B get merged."""
-        parts = list(parts)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(parts)):
-                for j in range(i + 1, len(parts)):
-                    if self.engine.mutual_info(parts[i], parts[j], key) > self.eps_eff:
-                        if pair is not None:
-                            a, b = pair
-                            pi, pj = parts[i], parts[j]
-                            if (a in pi and b in pj) or (b in pi and a in pj):
-                                return None
-                        parts[i] = parts[i] | parts[j]
-                        del parts[j]
-                        changed = True
-                        break
-                if changed:
+        """Pairwise-consistency closure (Fig 16): merge dependent blocks
+        until every pair has I(Ci;Cj|key) <= eps; None if A,B get merged.
+
+        ``done`` must be pairwise independent. Each block popped from
+        ``todo`` is tested against ``done`` only: a dependent partner is
+        merged into it and the union goes back onto ``todo``. I is
+        monotone under grouping, so every merge is forced in any order
+        and the fixpoint (and the A,B abort) does not depend on it.
+        """
+        while todo:
+            c = todo.pop()
+            for t, d in enumerate(done):
+                if self._dependent(key, c, d):
+                    if pair is not None and _splits(pair, c, d):
+                        return None
+                    del done[t]
+                    todo.append(c | d)
                     break
-        return _canon(parts)
+            else:
+                done.append(c)
+        return _canon(done)
 
     def get_full_mvds(
         self,
@@ -148,13 +188,14 @@ class MVDMiner:
             raise ValueError("pair attributes must not be in the key")
         if len(rest) < 2:
             return []
-        root: _Node | None = _canon([frozenset([c]) for c in rest])
+        singletons = [frozenset([c]) for c in rest]
+        root: _Node | None = _canon(singletons)
         if self.optimized:
-            root = self._closure(key, list(root), pair)
-            if root is None:
+            root = self._closure(key, [], singletons, pair)
+            if root is None or len(root) < 2:
                 return []
-            if len(root) < 2 or (pair is not None and not _separated(root, pair)):
-                return []
+        # Every node keeps A and B in different blocks: the DFS never
+        # merges their blocks, and the closure aborts rather than do so.
         found: list[_Node] = []
         visited: set[_Node] = {root}
         stack: list[_Node] = [root]
@@ -164,6 +205,7 @@ class MVDMiner:
             nodes += 1
             self.nodes_explored += 1
             if nodes > self.max_nodes:
+                self.truncated_searches += 1
                 break  # search budget; partial results (documented heuristic)
             parts = stack.pop()
             if self.engine.j_parts(key, parts) <= self.eps_eff:
@@ -172,27 +214,28 @@ class MVDMiner:
             m = len(parts)
             for i in range(m):
                 for j in range(i + 1, m):
-                    if pair is not None:
-                        a, b = pair
-                        pi, pj = parts[i], parts[j]
-                        if (a in pi and b in pj) or (b in pi and a in pj):
-                            continue  # never merge A's and B's components
-                    child_parts = [p for t, p in enumerate(parts) if t not in (i, j)]
-                    child_parts.append(parts[i] | parts[j])
-                    if len(child_parts) < 2:
+                    if pair is not None and _splits(pair, parts[i], parts[j]):
+                        continue  # never merge A's and B's components
+                    others = [p for t, p in enumerate(parts) if t not in (i, j)]
+                    if not others:
                         continue
-                    child: _Node | None = _canon(child_parts)
+                    merged = parts[i] | parts[j]
                     if self.optimized:
-                        child = self._closure(key, list(child), pair)
+                        child = self._closure(key, others, [merged], pair)
                         if child is None or len(child) < 2:
                             continue
-                        if pair is not None and not _separated(child, pair):
-                            continue
+                    else:
+                        child = _canon(others + [merged])
                     if child not in visited:
                         visited.add(child)
                         stack.append(child)
         mvds = [MVD.of(key, parts) for parts in found]
-        mvds = [m for m in mvds if not any(o.strictly_refines(m) for o in mvds)]
+        # All found nodes partition the same attributes under one key, so
+        # "o strictly refines m" is "o has more blocks and refines m".
+        mvds = [
+            m for m in mvds
+            if not any(len(o.deps) > len(m.deps) and o.refines(m) for o in mvds)
+        ]
         return sorted(mvds, key=str)
 
     # ------------------------------------------------------------------
@@ -205,10 +248,13 @@ class MVDMiner:
         if hit is not None:
             return hit
         # Necessary condition (Prop. 5.1): I(A;B|X) <= J of any separating MVD.
-        if self.engine.mutual_info({a}, {b}, x) > self.eps_eff:
+        if self._dependent(x, frozenset((a,)), frozenset((b,))):
             ans = False
         else:
+            truncated = self.truncated_searches
             ans = bool(self.get_full_mvds(x, (a, b), k=1))
+            if not ans and self.truncated_searches > truncated:
+                return ans  # a cut search's "no" is not a fact
         self._sep_memo[memo_key] = ans
         return ans
 
@@ -268,8 +314,10 @@ class MVDMiner:
         *,
         minseps_only: bool = False,
     ) -> MinerResult:
-        """Run the full miner; returns partial results on deadline."""
+        """Run the full miner; partial results on deadline or node budget
+        (see :attr:`MinerResult.complete`)."""
         t0 = time.monotonic()
+        counts0 = [getattr(self, c) for c in _COUNTERS]
         res = MinerResult(epsilon=self.eps)
         if pairs is None:
             pairs = list(combinations(sorted(self.engine.columns), 2))
@@ -290,12 +338,13 @@ class MVDMiner:
             res.timed_out = True
         res.elapsed = time.monotonic() - t0
         res.stats = {
-            "nodes_explored": self.nodes_explored,
+            **{c: getattr(self, c) - n0 for c, n0 in zip(_COUNTERS, counts0)},
             **self.engine.cache_info(),
         }
         return res
 
 
-def _separated(parts: _Node, pair: tuple[str, str]) -> bool:
+def _splits(pair: tuple[str, str], p: frozenset, q: frozenset) -> bool:
+    """True iff blocks p and q hold A and B, one each."""
     a, b = pair
-    return not any(a in p and b in p for p in parts)
+    return (a in p and b in q) or (b in p and a in q)

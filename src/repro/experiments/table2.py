@@ -40,7 +40,7 @@ def run_table2(
                 "rows": len(pdf),
                 "paper_rows": s.paper_rows,
                 "runtime_s": fmt_runtime(res.elapsed, res.timed_out),
-                "full_mvds": res.n_full_mvds if not res.timed_out else f"{res.n_full_mvds}*",
+                "full_mvds": res.n_full_mvds if res.complete else f"{res.n_full_mvds}*",
                 "minseps": res.n_minseps,
                 "paper_runtime_s": s.paper_runtime_s,
                 "paper_full_mvds": s.paper_full_mvds,

@@ -5,6 +5,7 @@ MVD sets, and the end-to-end M_eps output."""
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from repro.core.bruteforce import (
@@ -175,3 +176,170 @@ def test_minseps_only_skips_phase2():
     res = MVDMiner(LocalPLIEngine(pdf), 0.3).mine(minseps_only=True)
     assert res.full_mvds == []
     assert res.n_minseps > 0
+
+
+# ----------------------------------------------------------------------
+# pairwise-consistency closure (Fig 16) against the restart-scan reference
+# ----------------------------------------------------------------------
+def _tuple_canon(parts):
+    return tuple(sorted(parts, key=lambda p: tuple(sorted(p))))
+
+
+def restart_scan_closure(engine, eps_eff, key, parts, pair):
+    """The closure as first written: rescan all pairs from the start
+    after every merge, with no memo."""
+    parts = list(parts)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                if engine.mutual_info(parts[i], parts[j], key) > eps_eff:
+                    if pair is not None:
+                        a, b = pair
+                        pi, pj = parts[i], parts[j]
+                        if (a in pi and b in pj) or (b in pi and a in pj):
+                            return None
+                    parts[i] = parts[i] | parts[j]
+                    del parts[j]
+                    changed = True
+                    break
+            if changed:
+                break
+    return _tuple_canon(parts)
+
+
+def _random_partition(rng, attrs):
+    n_blocks = rng.integers(1, len(attrs) + 1)
+    labels = rng.integers(0, n_blocks, size=len(attrs))
+    blocks = {}
+    for a, lab in zip(attrs, labels):
+        blocks.setdefault(lab, set()).add(a)
+    return [frozenset(b) for b in blocks.values()]
+
+
+def _closure_cases(rng, cols, n_cases):
+    """Random (key, starting partition, pair or None) triples."""
+    for _ in range(n_cases):
+        key = frozenset(c for c in cols if rng.random() < 0.3)
+        rest = sorted(set(cols) - key)
+        if len(rest) < 2:
+            continue
+        parts = _random_partition(rng, rest)
+        pair = None
+        if rng.random() < 0.7:
+            i, j = rng.choice(len(rest), size=2, replace=False)
+            pair = (rest[i], rest[j])
+        yield key, parts, pair
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_closure_matches_restart_scan(eps):
+    rng = np.random.default_rng(7)
+    relations = [random_relation(30, "ABCDEF", 2, seed + 50) for seed in SEEDS]
+    # A product of three random factors keeps fixpoints of >= 3 blocks
+    # at eps = 0, so DFS children get covered there too.
+    relations.append(
+        random_relation(4, "AB", 2, 1)
+        .merge(random_relation(4, "CD", 2, 2), how="cross")
+        .merge(random_relation(4, "EF", 2, 3), how="cross")
+    )
+    relations.append(sec52_relation())
+    outcomes = {"none": 0, "merged": 0, "child": 0}
+    for pdf in relations:
+        cols = list(pdf.columns)
+        miner = MVDMiner(LocalPLIEngine(pdf), eps)
+        ref_engine = LocalPLIEngine(pdf)
+        for key, parts, pair in _closure_cases(rng, cols, 60):
+            want = restart_scan_closure(ref_engine, miner.eps_eff, key, parts, pair)
+            got = miner._closure(key, [], list(parts), pair)
+            assert got == want, f"key={sorted(key)} parts={parts} pair={pair}"
+            if want is None:
+                outcomes["none"] += 1
+                continue
+            if len(want) < len(parts):
+                outcomes["merged"] += 1
+            # A DFS child: a fixpoint with two of its blocks merged.
+            if len(want) < 3:
+                continue
+            i, j = rng.choice(len(want), size=2, replace=False)
+            others = [p for t, p in enumerate(want) if t not in (i, j)]
+            merged = want[i] | want[j]
+            want_child = restart_scan_closure(
+                ref_engine, miner.eps_eff, key, others + [merged], pair
+            )
+            got_child = miner._closure(key, list(others), [merged], pair)
+            assert got_child == want_child, f"key={sorted(key)} parent={want}"
+            outcomes["child"] += 1
+    assert all(n > 0 for n in outcomes.values()), outcomes
+
+
+def test_canon_orders_blocks_by_minimum():
+    from repro.core.miner import _canon
+
+    rng = np.random.default_rng(3)
+    attrs = ["A", "B", "a", "b", "age", "ab", "Z9", "z", "x_1", "x_10"]
+    for _ in range(200):
+        parts = _random_partition(rng, list(rng.permutation(attrs)))
+        assert _canon(parts) == _tuple_canon(parts)
+        assert list(_canon(parts)) == sorted(parts, key=min)
+
+
+def test_each_dependence_test_reaches_the_engine_once():
+    pdf = random_relation(30, "ABCDEF", 2, 61)
+    for eps in EPSILONS:
+        engine = LocalPLIEngine(pdf)
+        seen: dict = {}
+        inner = engine.mutual_info
+
+        def counted(y, z, x=(), inner=inner, seen=seen):
+            k = (frozenset(x), frozenset((frozenset(y), frozenset(z))))
+            seen[k] = seen.get(k, 0) + 1
+            return inner(y, z, x)
+
+        engine.mutual_info = counted
+        miner = MVDMiner(engine, eps)
+        res = miner.mine()
+        # The miner reaches mutual_info only through its dependence tests.
+        assert res.stats["dependence_tests"] == len(seen) > 0
+        for key in [frozenset(), frozenset("A"), frozenset("BC")]:
+            rest = sorted(set("ABCDEF") - key)
+            miner.get_full_mvds(key)
+            miner.get_full_mvds(key, (rest[0], rest[-1]))
+        assert max(seen.values()) == 1
+        assert miner.dependence_tests == len(seen)
+        assert miner.dependence_memo_hits > 0
+
+
+# ----------------------------------------------------------------------
+# node budget: truncated searches are reported, never memoized as "no"
+# ----------------------------------------------------------------------
+def test_truncated_search_is_reported_and_not_memoized():
+    pdf = random_relation(30, "ABCDE", 2, 22)
+    res = MVDMiner(LocalPLIEngine(pdf), 0.3).mine()
+    assert res.complete and res.stats["truncated_searches"] == 0
+
+    miner = MVDMiner(LocalPLIEngine(pdf), 0.3, max_nodes_per_search=1)
+    res = miner.mine()
+    assert res.complete is False
+    assert not res.timed_out
+    assert res.stats["truncated_searches"] > 0
+
+    miner = MVDMiner(LocalPLIEngine(pdf), 0.3, max_nodes_per_search=1)
+    ref = LocalPLIEngine(pdf)
+    wrong_no = 0
+    for a, b in combinations("ABCDE", 2):
+        others = sorted(set("ABCDE") - {a, b})
+        for r in range(len(others) + 1):
+            for xs in combinations(others, r):
+                x = frozenset(xs)
+                cut = miner.truncated_searches
+                ans = miner.separates(x, a, b)
+                memo_key = (x, a, b)
+                if miner.truncated_searches > cut and not ans:
+                    assert memo_key not in miner._sep_memo
+                    wrong_no += brute_separates(ref, x, a, b, 0.3)
+                else:
+                    assert miner._sep_memo[memo_key] == ans
+    # The budget really cut searches whose true answer is "yes".
+    assert wrong_no > 0
