@@ -99,6 +99,7 @@ def _canon(parts: Iterable[frozenset]) -> _Node:
 #: Per-miner counters reported in ``MinerResult.stats`` (per run).
 _COUNTERS = (
     "nodes_explored", "truncated_searches", "dependence_tests", "dependence_memo_hits",
+    "separator_tests", "transversal_rounds",
 )
 
 
@@ -130,6 +131,8 @@ class MVDMiner:
         self.truncated_searches = 0
         self.dependence_tests = 0
         self.dependence_memo_hits = 0
+        self.separator_tests = 0  # separates() calls that miss _sep_memo
+        self.transversal_rounds = 0  # minimal_transversals() calls
 
     # ------------------------------------------------------------------
     # getFullMVDs (Fig 6 / Fig 17)
@@ -247,6 +250,7 @@ class MVDMiner:
         hit = self._sep_memo.get(memo_key)
         if hit is not None:
             return hit
+        self.separator_tests += 1
         # Necessary condition (Prop. 5.1): I(A;B|X) <= J of any separating MVD.
         if self._dependent(x, frozenset((a,)), frozenset((b,))):
             ans = False
@@ -281,7 +285,14 @@ class MVDMiner:
     ) -> list[frozenset]:
         """All minimal A,B-separators. ``sink`` (if given) receives each
         separator as soon as it is discovered, so deadline aborts still
-        report partial progress."""
+        report partial progress.
+
+        Each round takes the minimal transversals of the separators found
+        so far and either adds one separator or ends the pair, so a
+        complete pair makes one round per separator. The family only
+        grows by appending, so :func:`minimal_transversals` folds just the
+        new separator into the transversals it cached for the last round.
+        """
         c: list[frozenset] = sink if sink is not None else []
         universe = frozenset(set(self.engine.columns) - {a, b})
         if not self.separates(universe, a, b):
@@ -290,6 +301,7 @@ class MVDMiner:
         processed: set[frozenset] = set()
         while True:
             progressed = False
+            self.transversal_rounds += 1
             for d in minimal_transversals(c):
                 self.deadline.check()
                 if d in processed:
@@ -318,6 +330,7 @@ class MVDMiner:
         (see :attr:`MinerResult.complete`)."""
         t0 = time.monotonic()
         counts0 = [getattr(self, c) for c in _COUNTERS]
+        info0 = self.engine.cache_info()
         res = MinerResult(epsilon=self.eps)
         if pairs is None:
             pairs = list(combinations(sorted(self.engine.columns), 2))
@@ -337,9 +350,13 @@ class MVDMiner:
         except DeadlineReached:
             res.timed_out = True
         res.elapsed = time.monotonic() - t0
+        info = self.engine.cache_info()
+        # Counters are this run's work; "cached" is the memo's size.
         res.stats = {
             **{c: getattr(self, c) - n0 for c, n0 in zip(_COUNTERS, counts0)},
-            **self.engine.cache_info(),
+            "cached": info["cached"],
+            "calls": info["calls"] - info0["calls"],
+            "computations": info["computations"] - info0["computations"],
         }
         return res
 

@@ -343,3 +343,37 @@ def test_truncated_search_is_reported_and_not_memoized():
                     assert miner._sep_memo[memo_key] == ans
     # The budget really cut searches whose true answer is "yes".
     assert wrong_no > 0
+
+
+# ----------------------------------------------------------------------
+# MinerResult.stats: per-run counters
+# ----------------------------------------------------------------------
+def test_stats_count_each_run_on_a_shared_engine():
+    pdf = random_relation(40, "ABCDE", 2, 5)
+    engine = LocalPLIEngine(pdf)
+    first = MVDMiner(engine, 0.0).mine()
+    calls, comps = engine.entropy_calls, engine.entropy_computations
+    assert first.stats["calls"] == calls > 0
+    assert first.stats["computations"] == comps > 0
+    second = MVDMiner(engine, 0.1).mine()
+    # Counters cover the second run only; "cached" is the memo's size.
+    assert second.stats["calls"] == engine.entropy_calls - calls > 0
+    assert second.stats["computations"] == engine.entropy_computations - comps
+    assert second.stats["cached"] == len(engine._cache) >= first.stats["cached"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("eps", [0.3, 0.5])
+def test_one_transversal_round_per_separator(seed, eps):
+    # Up to 10 minimal separators per pair on these relations.
+    pdf = random_relation(20, "ABCDEFG", 3, seed + 70)
+    miner = MVDMiner(LocalPLIEngine(pdf), eps)
+    res = miner.mine()
+    assert res.complete
+    assert max(len(v) for v in res.minseps.values()) > 2
+    assert res.stats["transversal_rounds"] == res.n_minseps
+    assert 0 < res.stats["separator_tests"] == len(miner._sep_memo)
+    # A second run on the same miner answers every test from the memo.
+    again = miner.mine()
+    assert again.stats["separator_tests"] == 0
+    assert again.stats["transversal_rounds"] == again.n_minseps == res.n_minseps
