@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.mvd import MVD
-
 
 def normalize_schema(bags: Iterable[Iterable[str]]) -> tuple[frozenset, ...]:
     """Dedup and drop bags contained in other bags (schema requirement
@@ -110,35 +108,6 @@ def build_join_tree(bags: Iterable[Iterable[str]]) -> JoinTree | None:
     if not _running_intersection_ok(norm, edges):
         return None
     return JoinTree(norm, tuple(edges))
-
-
-def support_mvds(tree: JoinTree) -> list[MVD]:
-    """``MVD(T)``: one MVD per edge -- key = bag intersection, dependents
-    = the attributes of the two subtrees minus the key (Sec. 3.1)."""
-    n = len(tree.bags)
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for u, v in tree.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    out: list[MVD] = []
-    for u, v in tree.edges:
-        key = tree.bags[u] & tree.bags[v]
-        # attributes reachable from u without crossing edge (u, v)
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for w in adj[x]:
-                if (x, w) in ((u, v), (v, u)):
-                    continue
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        side_u = frozenset().union(*(tree.bags[i] for i in seen)) - key
-        side_v = tree.attributes - key - side_u
-        if side_u and side_v:
-            out.append(MVD.of(key, [side_u, side_v]))
-    return out
 
 
 def schema_width(bags: Iterable[Iterable[str]]) -> int:

@@ -22,6 +22,12 @@ Implements Figures 3-6 of the paper plus the appendix optimization
   and a DFS child re-checks only its merged block against the parent's
   other blocks, which are already pairwise independent.
 
+Attribute sets are the engine's int bitmasks (bit i is the i-th name in
+sorted order), so ReduceMinSep's global ordering (ascending bits) and
+the block order (lowest bit first) follow sorted names. The public
+methods accept names or a mask; separators and MVDs are reported over
+names.
+
 A search that hits ``max_nodes_per_search`` is counted as truncated; its
 "no" is not memoized by :meth:`MVDMiner.separates`, and
 :attr:`MinerResult.complete` reports the run as partial.
@@ -40,8 +46,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from repro.core.mvd import MVD
-from repro.entropy.base import FLOAT_TOL, EntropyEngine
-from repro.hypergraph.transversal import minimal_transversals
+from repro.entropy.base import FLOAT_TOL, Attrs, EntropyEngine
+from repro.hypergraph.transversal import bits, minimal_transversals
 
 
 class DeadlineReached(Exception):
@@ -88,12 +94,17 @@ class MinerResult:
         return len(self.full_mvds)
 
 
-_Node = tuple[frozenset, ...]
+_Node = tuple[int, ...]
 
 
-def _canon(parts: Iterable[frozenset]) -> _Node:
-    # Blocks are disjoint and non-empty, so their minima are distinct.
-    return tuple(sorted(parts, key=min))
+def _canon(parts: Iterable[int]) -> _Node:
+    # Blocks are disjoint and non-empty, so their lowest bits are distinct.
+    return tuple(sorted(parts, key=lambda p: p & -p))
+
+
+def _refines(o: _Node, m: _Node) -> bool:
+    """Every block of ``o`` lies inside a block of ``m``."""
+    return all(any(d & e == d for e in m) for d in o)
 
 
 #: Per-miner counters reported in ``MinerResult.stats`` (per run).
@@ -111,7 +122,6 @@ class MVDMiner:
         engine: EntropyEngine,
         epsilon: float,
         *,
-        optimized: bool = True,
         max_nodes_per_search: int = 50_000,
         deadline_s: float | None = None,
     ):
@@ -119,14 +129,13 @@ class MVDMiner:
         self.eps = float(epsilon)
         # All threshold comparisons use eps + FLOAT_TOL (see entropy.base).
         self.eps_eff = self.eps + FLOAT_TOL
-        self.optimized = optimized
         self.max_nodes = max_nodes_per_search
         self.deadline = Deadline(deadline_s)
-        self._sep_memo: dict[tuple[frozenset, str, str], bool] = {}
-        # (key, Ci, Cj) with min(Ci) < min(Cj) -> I(Ci;Cj|key) > eps.
-        self._dep_memo: dict[tuple[frozenset, frozenset, frozenset], bool] = {}
-        # Fixed global ordering p used by ReduceMinSep (Theorem 6.2).
-        self.ordering: tuple[str, ...] = tuple(sorted(engine.columns))
+        self._all = engine.mask(engine.columns)
+        # (X, A|B) -> X separates A, B.
+        self._sep_memo: dict[tuple[int, int], bool] = {}
+        # (key, Ci, Cj) with Ci < Cj -> I(Ci;Cj|key) > eps.
+        self._dep_memo: dict[tuple[int, int, int], bool] = {}
         self.nodes_explored = 0
         self.truncated_searches = 0
         self.dependence_tests = 0
@@ -137,9 +146,9 @@ class MVDMiner:
     # ------------------------------------------------------------------
     # getFullMVDs (Fig 6 / Fig 17)
     # ------------------------------------------------------------------
-    def _dependent(self, key: frozenset, ci: frozenset, cj: frozenset) -> bool:
+    def _dependent(self, key: int, ci: int, cj: int) -> bool:
         """Memoized dependence test I(Ci;Cj|key) > eps."""
-        memo_key = (key, ci, cj) if min(ci) < min(cj) else (key, cj, ci)
+        memo_key = (key, ci, cj) if ci < cj else (key, cj, ci)
         dep = self._dep_memo.get(memo_key)
         if dep is None:
             self.dependence_tests += 1
@@ -149,15 +158,10 @@ class MVDMiner:
             self.dependence_memo_hits += 1
         return dep
 
-    def _closure(
-        self,
-        key: frozenset,
-        done: list[frozenset],
-        todo: list[frozenset],
-        pair: tuple[str, str] | None,
-    ) -> _Node | None:
+    def _closure(self, key: int, done: list[int], todo: list[int], pair: int) -> _Node | None:
         """Pairwise-consistency closure (Fig 16): merge dependent blocks
-        until every pair has I(Ci;Cj|key) <= eps; None if A,B get merged.
+        until every pair has I(Ci;Cj|key) <= eps; None if A,B get merged
+        (``pair`` is the mask of A and B, or 0).
 
         ``done`` must be pairwise independent. Each block popped from
         ``todo`` is tested against ``done`` only: a dependent partner is
@@ -169,7 +173,7 @@ class MVDMiner:
             c = todo.pop()
             for t, d in enumerate(done):
                 if self._dependent(key, c, d):
-                    if pair is not None and _splits(pair, c, d):
+                    if c & pair and d & pair:
                         return None
                     del done[t]
                     todo.append(c | d)
@@ -180,23 +184,18 @@ class MVDMiner:
 
     def get_full_mvds(
         self,
-        key: frozenset,
-        pair: tuple[str, str] | None = None,
+        key: Attrs,
+        pair: tuple[str, str] | int | None = None,
         k: float = math.inf,
     ) -> list[MVD]:
         """Up to ``k`` full eps-MVDs with key ``key`` (separating ``pair``)."""
-        key = frozenset(key)
-        rest = sorted(set(self.engine.columns) - key)
-        if pair is not None and (pair[0] in key or pair[1] in key):
+        key = self.engine.mask(key)
+        pair = self.engine.mask(pair or 0)
+        if pair & key:
             raise ValueError("pair attributes must not be in the key")
-        if len(rest) < 2:
+        root = self._closure(key, [], bits(self._all & ~key), pair)
+        if root is None or len(root) < 2:
             return []
-        singletons = [frozenset([c]) for c in rest]
-        root: _Node | None = _canon(singletons)
-        if self.optimized:
-            root = self._closure(key, [], singletons, pair)
-            if root is None or len(root) < 2:
-                return []
         # Every node keeps A and B in different blocks: the DFS never
         # merges their blocks, and the closure aborts rather than do so.
         found: list[_Node] = []
@@ -217,46 +216,41 @@ class MVDMiner:
             m = len(parts)
             for i in range(m):
                 for j in range(i + 1, m):
-                    if pair is not None and _splits(pair, parts[i], parts[j]):
+                    if parts[i] & pair and parts[j] & pair:
                         continue  # never merge A's and B's components
                     others = [p for t, p in enumerate(parts) if t not in (i, j)]
                     if not others:
                         continue
-                    merged = parts[i] | parts[j]
-                    if self.optimized:
-                        child = self._closure(key, others, [merged], pair)
-                        if child is None or len(child) < 2:
-                            continue
-                    else:
-                        child = _canon(others + [merged])
+                    child = self._closure(key, others, [parts[i] | parts[j]], pair)
+                    if child is None or len(child) < 2:
+                        continue
                     if child not in visited:
                         visited.add(child)
                         stack.append(child)
-        mvds = [MVD.of(key, parts) for parts in found]
         # All found nodes partition the same attributes under one key, so
         # "o strictly refines m" is "o has more blocks and refines m".
-        mvds = [
-            m for m in mvds
-            if not any(len(o.deps) > len(m.deps) and o.refines(m) for o in mvds)
-        ]
-        return sorted(mvds, key=str)
+        full = [m for m in found if not any(len(o) > len(m) and _refines(o, m) for o in found)]
+        attrs = self.engine.attrs
+        return sorted((MVD.of(attrs(key), map(attrs, m)) for m in full), key=str)
 
     # ------------------------------------------------------------------
     # separator predicate (Def. 5.5), memoized
     # ------------------------------------------------------------------
-    def separates(self, x: Iterable[str], a: str, b: str) -> bool:
-        x = frozenset(x)
-        memo_key = (x, a, b) if a < b else (x, b, a)
+    def separates(self, x: Attrs, a: str, b: str) -> bool:
+        x = self.engine.mask(x)
+        pair = self.engine.mask((a, b))
+        memo_key = (x, pair)
         hit = self._sep_memo.get(memo_key)
         if hit is not None:
             return hit
         self.separator_tests += 1
         # Necessary condition (Prop. 5.1): I(A;B|X) <= J of any separating MVD.
-        if self._dependent(x, frozenset((a,)), frozenset((b,))):
+        low = pair & -pair
+        if self._dependent(x, low, pair ^ low):
             ans = False
         else:
             truncated = self.truncated_searches
-            ans = bool(self.get_full_mvds(x, (a, b), k=1))
+            ans = bool(self.get_full_mvds(x, pair, k=1))
             if not ans and self.truncated_searches > truncated:
                 return ans  # a cut search's "no" is not a fact
         self._sep_memo[memo_key] = ans
@@ -265,17 +259,15 @@ class MVDMiner:
     # ------------------------------------------------------------------
     # ReduceMinSep (Fig 4)
     # ------------------------------------------------------------------
-    def reduce_min_sep(self, x: Iterable[str], a: str, b: str) -> frozenset:
-        """Greedily shrink a separator to a minimal one, scanning the
-        fixed global ordering."""
-        s = set(x)
-        for attr in self.ordering:
-            if attr not in s:
-                continue
+    def reduce_min_sep(self, x: Attrs, a: str, b: str) -> int:
+        """Greedily shrink a separator to a minimal one (returned as a
+        mask), scanning the fixed global ordering: ascending bits."""
+        x = self.engine.mask(x)
+        for attr in bits(x):
             self.deadline.check()
-            if self.separates(frozenset(s - {attr}), a, b):
-                s.remove(attr)
-        return frozenset(s)
+            if self.separates(x ^ attr, a, b):
+                x ^= attr
+        return x
 
     # ------------------------------------------------------------------
     # MineMinSeps (Fig 5)
@@ -283,9 +275,9 @@ class MVDMiner:
     def mine_min_seps(
         self, a: str, b: str, sink: list[frozenset] | None = None
     ) -> list[frozenset]:
-        """All minimal A,B-separators. ``sink`` (if given) receives each
-        separator as soon as it is discovered, so deadline aborts still
-        report partial progress.
+        """All minimal A,B-separators, as frozensets of names. ``sink``
+        (if given) receives each separator as soon as it is discovered,
+        so deadline aborts still report partial progress.
 
         Each round takes the minimal transversals of the separators found
         so far and either adds one separator or ends the pair, so a
@@ -293,29 +285,29 @@ class MVDMiner:
         grows by appending, so :func:`minimal_transversals` folds just the
         new separator into the transversals it cached for the last round.
         """
-        c: list[frozenset] = sink if sink is not None else []
-        universe = frozenset(set(self.engine.columns) - {a, b})
+        sink = sink if sink is not None else []
+        universe = self._all & ~self.engine.mask((a, b))
         if not self.separates(universe, a, b):
-            return c
-        c.append(self.reduce_min_sep(universe, a, b))
-        processed: set[frozenset] = set()
+            return sink
+        c = [self.reduce_min_sep(universe, a, b)]
+        sink.append(self.engine.attrs(c[0]))
+        processed: set[int] = set()
         while True:
-            progressed = False
             self.transversal_rounds += 1
             for d in minimal_transversals(c):
                 self.deadline.check()
                 if d in processed:
                     continue
                 processed.add(d)
-                comp = universe - d
+                comp = universe & ~d
                 if self.separates(comp, a, b):
                     x = self.reduce_min_sep(comp, a, b)
                     if x not in c:
                         c.append(x)
-                        progressed = True
+                        sink.append(self.engine.attrs(x))
                         break
-            if not progressed:
-                return c
+            else:
+                return sink
 
     # ------------------------------------------------------------------
     # MVDMiner main loop (Fig 3)
@@ -360,8 +352,3 @@ class MVDMiner:
         }
         return res
 
-
-def _splits(pair: tuple[str, str], p: frozenset, q: frozenset) -> bool:
-    """True iff blocks p and q hold A and B, one each."""
-    a, b = pair
-    return (a in p and b in q) or (b in p and a in q)

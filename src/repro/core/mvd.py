@@ -3,7 +3,7 @@
 An MVD ``X ->> Y1 | ... | Ym`` (m >= 2) has *key* X and pairwise
 disjoint non-empty *dependents* Y1..Ym. Instances are immutable and
 canonical (dependents sorted), so they hash/compare structurally --
-required by the miner's visited sets and by ``M_eps`` deduplication.
+required by ``M_eps`` deduplication.
 """
 from __future__ import annotations
 
@@ -69,24 +69,6 @@ class MVD:
 
     def strictly_refines(self, other: "MVD") -> bool:
         return self != other and self.refines(other)
-
-    def join(self, other: "MVD") -> "MVD":
-        """``phi v psi``: dependents are all non-empty pairwise intersections.
-
-        Refines both operands (Lemma 5.4 context). Keys must match.
-        """
-        if self.key != other.key:
-            raise ValueError("join requires identical keys")
-        parts = [a & b for a in self.deps for b in other.deps if a & b]
-        return MVD.of(self.key, parts)
-
-    def merge(self, i: int, j: int) -> "MVD":
-        """Coarsen by merging dependents i and j (the getFullMVDs step)."""
-        if i == j:
-            raise ValueError("cannot merge a dependent with itself")
-        merged = self.deps[i] | self.deps[j]
-        rest = [d for k, d in enumerate(self.deps) if k not in (i, j)]
-        return MVD.of(self.key, rest + [merged])
 
     def __str__(self) -> str:  # e.g. "AB ->> C|DE"
         k = "".join(sorted(self.key)) or "{}"

@@ -6,6 +6,11 @@ entropy ``H(X)`` of an attribute set ``X`` (Eq. 5), with derived helpers
 for conditional mutual information ``I(Y;Z|X)`` (Eq. 2) and the
 J-measure of MVDs (Sec. 3.2) and acyclic schemas (Eq. 6).
 
+Attribute sets are int bitmasks inside the search stack: bit ``i`` is
+the i-th name of ``sorted(columns)``. The engine owns that map; every
+method taking an attribute set accepts names or a mask, and both reach
+the same memo entry.
+
 All entropies are in **bits** (log base 2), matching the paper's worked
 examples (``H(ABCDEF) = log 4 = 2`` in Example 3.4). Derived measures
 are clamped at ``>= 0`` against floating-point noise; the Shannon
@@ -15,14 +20,12 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.mvd import MVD
-
-AttrSet = frozenset
 
 #: Tolerance added to every ``J <= eps`` / ``I > eps`` comparison. Exact
 #: dependencies produce J = 0 only up to float rounding of the entropy
@@ -30,9 +33,8 @@ AttrSet = frozenset
 #: threshold and Beeri's uniqueness of the full MVD (Sec. 5.2) fails.
 FLOAT_TOL = 1e-9
 
-
-def _fs(cols: Iterable[str]) -> frozenset:
-    return cols if isinstance(cols, frozenset) else frozenset(cols)
+#: An attribute set: names, or an int bitmask over the engine's bits.
+Attrs = Union[Iterable[str], int]
 
 
 class EntropyEngine(ABC):
@@ -48,37 +50,54 @@ class EntropyEngine(ABC):
         if len(set(self.columns)) != len(self.columns):
             raise ValueError("duplicate column names")
         self.n_rows = int(n_rows)
-        self._cache: dict[frozenset, float] = {frozenset(): 0.0}
+        # Bit i stands for the i-th name in sorted order.
+        self._names = tuple(sorted(self.columns))
+        self.bit: dict[str, int] = {c: i for i, c in enumerate(self._names)}
+        self._cache: dict[int, float] = {0: 0.0}
         self.entropy_computations = 0  # cache misses (actual work)
         self.entropy_calls = 0  # all requests
 
+    # -- attribute sets ------------------------------------------------
+    def mask(self, cols: Attrs) -> int:
+        """The bitmask of ``cols``; a mask passes through after a range
+        check. Raises ``KeyError`` for an unknown name or bit."""
+        if isinstance(cols, int):
+            if cols < 0 or cols >> len(self._names):
+                raise KeyError(f"mask {cols:#x} has bits past the {len(self._names)} columns")
+            return cols
+        m = 0
+        for c in cols:
+            m |= 1 << self.bit[c]
+        return m
+
+    def attrs(self, mask: int) -> frozenset:
+        """The names of the attributes in ``mask``."""
+        return frozenset(c for i, c in enumerate(self._names) if mask >> i & 1)
+
     # -- core oracle ---------------------------------------------------
     @abstractmethod
-    def _entropy(self, cols: frozenset) -> float:
-        """Compute H(cols) in bits for a non-empty ``cols``."""
+    def _entropy(self, mask: int) -> float:
+        """Compute H in bits for a non-empty attribute mask."""
 
-    def entropy(self, cols: Iterable[str]) -> float:
+    def entropy(self, cols: Attrs) -> float:
         """Memoized H(cols); H(emptyset) = 0."""
-        fs = _fs(cols)
+        m = self.mask(cols)
         self.entropy_calls += 1
-        h = self._cache.get(fs)
+        h = self._cache.get(m)
         if h is None:
-            unknown = fs - set(self.columns)
-            if unknown:
-                raise KeyError(f"unknown columns {sorted(unknown)}")
-            h = self._entropy(fs)
+            h = self._entropy(m)
             self.entropy_computations += 1
-            self._cache[fs] = h
+            self._cache[m] = h
         return h
 
     # -- derived measures ----------------------------------------------
-    def mutual_info(self, Y: Iterable[str], Z: Iterable[str], X: Iterable[str] = ()) -> float:
+    def mutual_info(self, Y: Attrs, Z: Attrs, X: Attrs = 0) -> float:
         """Conditional mutual information I(Y;Z|X) in bits (Eq. 2).
 
         Y and Z need not be disjoint from X (``H`` is defined on unions),
         but callers in the miner always pass disjoint sets.
         """
-        X, Y, Z = _fs(X), _fs(Y), _fs(Z)
+        X, Y, Z = self.mask(X), self.mask(Y), self.mask(Z)
         i = (
             self.entropy(X | Y)
             + self.entropy(X | Z)
@@ -91,10 +110,12 @@ class EntropyEngine(ABC):
         """J-measure of an MVD: sum H(X Yi) - (m-1) H(X) - H(X Y1..Ym)."""
         return self.j_parts(mvd.key, mvd.deps)
 
-    def j_parts(self, key: Iterable[str], deps: Iterable[frozenset]) -> float:
-        key = _fs(key)
-        deps = list(deps)
-        total = key.union(*deps) if deps else key
+    def j_parts(self, key: Attrs, deps: Iterable[Attrs]) -> float:
+        key = self.mask(key)
+        deps = [self.mask(d) for d in deps]
+        total = key
+        for d in deps:
+            total |= d
         j = (
             sum(self.entropy(key | d) for d in deps)
             - (len(deps) - 1) * self.entropy(key)

@@ -6,12 +6,13 @@ produces, per attribute, a *stripped partition* (value groups of size
 Partitions for attribute sets are composed by intersecting row-group
 labels -- the numpy analog of the paper's ``TID`` join on tuple ids in
 the in-memory H2 database. Composed partitions are LRU-cached by
-attribute set. A miss on ``X`` costs one composition whenever some
-``X - {a}`` is cached (a base partition when ``|X| = 2``): it is
-intersected with the base partition of ``a``, trying the last attribute
-first. Only when no such subset is cached is the prefix of ``X`` built
-recursively. The miner's many correlated queries (``H(X)``, ``H(XY)``,
-``H(XYZ)`` ...) therefore share work whatever order they arrive in.
+attribute mask, and a base partition is keyed by its one-bit mask. A
+miss on ``X`` costs one composition whenever some ``X - {a}`` is cached
+(a base partition when ``|X| = 2``): it is intersected with the base
+partition of ``a``, trying the highest bit first. Only when no such
+subset is cached is ``X`` minus its highest bit built recursively. The
+miner's many correlated queries (``H(X)``, ``H(XY)``, ``H(XYZ)`` ...)
+therefore share work whatever order they arrive in.
 
 Intersecting partitions with ``n1`` and ``n2`` groups over ``N`` rows
 labels each row with its cell ``c1 * n2 + c2`` in the grid of group
@@ -32,7 +33,7 @@ from typing import Iterable, Optional
 import numpy as np
 import pandas as pd
 
-from repro.entropy.base import EntropyEngine, entropy_from_group_sizes
+from repro.entropy.base import Attrs, EntropyEngine, entropy_from_group_sizes
 
 # (codes or None, n_groups, non-singleton group sizes or None)
 _Partition = tuple[Optional[np.ndarray], int, Optional[np.ndarray]]
@@ -98,11 +99,10 @@ class LocalPLIEngine(EntropyEngine):
     ):
         cols = tuple(columns) if columns is not None else tuple(pdf.columns)
         super().__init__(cols, len(pdf))
-        self._order = {c: i for i, c in enumerate(cols)}
-        self._base: dict[str, _Partition] = {
-            c: _factorize_strip(pdf[c].to_numpy()) for c in cols
+        self._base: dict[int, _Partition] = {
+            1 << self.bit[c]: _factorize_strip(pdf[c].to_numpy()) for c in cols
         }
-        self._parts: OrderedDict[tuple, _Partition] = OrderedDict()
+        self._parts: OrderedDict[int, _Partition] = OrderedDict()
         row_bytes = 4 * max(1, self.n_rows)
         self._max_entries = max(8, cache_bytes // row_bytes)
 
@@ -118,40 +118,37 @@ class LocalPLIEngine(EntropyEngine):
         return cls(df.select(*cols).toPandas(), cols, **kw)
 
     # -- partition lattice ---------------------------------------------
-    def _key(self, fs: frozenset) -> tuple:
-        return tuple(sorted(fs, key=self._order.__getitem__))
-
-    def _cached(self, key: tuple) -> Optional[_Partition]:
-        """The partition of a non-empty sorted key if it is at hand."""
-        if len(key) == 1:
-            return self._base[key[0]]
-        part = self._parts.get(key)
-        if part is not None:
-            self._parts.move_to_end(key)
+    def _cached(self, mask: int) -> Optional[_Partition]:
+        """The partition of ``mask`` if it is at hand."""
+        part = self._parts.get(mask)
+        if part is None:
+            return self._base.get(mask)
+        self._parts.move_to_end(mask)
         return part
 
-    def partition(self, cols: Iterable[str]) -> _Partition:
-        key = self._key(frozenset(cols))
-        if not key:
-            raise ValueError("empty attribute set has no partition")
-        part = self._cached(key)
+    def partition(self, cols: Attrs) -> _Partition:
+        mask = self.mask(cols)
+        part = self._cached(mask)
         if part is not None:
             return part
-        for i in reversed(range(len(key))):
-            sub = self._cached(key[:i] + key[i + 1:])
-            if sub is not None:
-                part = _combine(sub, self._base[key[i]])
+        if not mask:
+            raise ValueError("empty attribute set has no partition")
+        for i in reversed(range(mask.bit_length())):
+            top = 1 << i
+            if mask & top and (sub := self._cached(mask ^ top)) is not None:
                 break
         else:
-            part = _combine(self.partition(key[:-1]), self._base[key[-1]])
-        self._parts[key] = part
+            top = 1 << (mask.bit_length() - 1)
+            sub = self.partition(mask ^ top)
+        part = _combine(sub, self._base[top])
+        self._parts[mask] = part
         while len(self._parts) > self._max_entries:
             self._parts.popitem(last=False)
         return part
 
     # -- oracle ---------------------------------------------------------
-    def _entropy(self, cols: frozenset) -> float:
-        _, _, counts = self.partition(cols)
+    def _entropy(self, mask: int) -> float:
+        _, _, counts = self.partition(mask)
         if counts is None:
             return self.log2_n
         return entropy_from_group_sizes(counts, self.n_rows)

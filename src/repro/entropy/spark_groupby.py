@@ -28,9 +28,9 @@ class SparkGroupByEntropyEngine(EntropyEngine):
         self.df.persist()
         super().__init__(cols, self.df.count())
 
-    def _entropy(self, cols: frozenset) -> float:
+    def _entropy(self, mask: int) -> float:
         # Stable projection order so plans (and shuffle keys) are deterministic.
-        proj = [c for c in self.columns if c in cols]
+        proj = [c for c in self.columns if mask >> self.bit[c] & 1]
         row = (
             self.df.groupBy(*proj)
             .agg(F.count(F.lit(1)).alias("cnt"))

@@ -27,7 +27,7 @@ def mine_nursery_schemas(
     max_schemas_per_eps: int = 200,
     mine_deadline_s: float = 60.0,
     noise: float = 0.02,
-) -> tuple[pd.DataFrame, list]:
+) -> pd.DataFrame:
     """Union of schemas found across the threshold sweep, with J(S)."""
     pdf = datasets.nursery(noise=noise)
     engine = LocalPLIEngine(pdf)
@@ -45,8 +45,7 @@ def mine_nursery_schemas(
                     "J": engine.j_tree(list(schema.tree.bags), list(schema.tree.edges)),
                     "found_at_eps": eps,
                 }
-    rows = sorted(seen.values(), key=lambda r: r["J"])
-    return pd.DataFrame(rows), [b for b in seen]
+    return pd.DataFrame(sorted(seen.values(), key=lambda r: r["J"]))
 
 
 def run_nursery(
@@ -66,7 +65,7 @@ def run_nursery(
     df = spark.createDataFrame(pdf)
     df.persist()
     n_rows = df.count()
-    schemes, _ = mine_nursery_schemas(
+    schemes = mine_nursery_schemas(
         thresholds=thresholds, max_schemas_per_eps=max_schemas_per_eps, noise=noise
     )
     # Quality for up to quality_cap schemes, stratified

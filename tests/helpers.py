@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pandas as pd
 
+from repro.core.jointree import JoinTree
+from repro.core.mvd import MVD
 from repro.entropy.local_pli import LocalPLIEngine
 
 #: Values of ``local_pli._DENSE_CELLS_PER_ROW`` that force each
@@ -69,3 +71,32 @@ def naive_entropy(pdf: pd.DataFrame, cols) -> float:
     n = len(pdf)
     counts = pdf.groupby(list(cols), observed=True, dropna=False).size().to_numpy()
     return math.log2(n) - sum(c * math.log2(c) for c in counts) / n
+
+
+def support_mvds(tree: JoinTree) -> list[MVD]:
+    """``MVD(T)``: one MVD per edge -- key = bag intersection, dependents
+    = the attributes of the two subtrees minus the key (Sec. 3.1)."""
+    n = len(tree.bags)
+    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    for u, v in tree.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    out: list[MVD] = []
+    for u, v in tree.edges:
+        key = tree.bags[u] & tree.bags[v]
+        # attributes reachable from u without crossing edge (u, v)
+        seen = {u}
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            for w in adj[x]:
+                if (x, w) in ((u, v), (v, u)):
+                    continue
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        side_u = frozenset().union(*(tree.bags[i] for i in seen)) - key
+        side_v = tree.attributes - key - side_u
+        if side_u and side_v:
+            out.append(MVD.of(key, [side_u, side_v]))
+    return out

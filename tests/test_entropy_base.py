@@ -146,3 +146,64 @@ def test_j_parts_two_deps_equals_mutual_info():
     j = eng.j_parts(frozenset("A"), [frozenset("B"), frozenset("CD")])
     i = eng.mutual_info("B", "CD", "A")
     assert j == pytest.approx(i, abs=1e-9)
+
+
+# ----------------------------------------------------------------------
+# attribute sets: names at the boundary, int bitmasks inside
+# ----------------------------------------------------------------------
+WIDE = ["zeta", "a1", "B", "a10", "Y_2", "a2", "x"]
+
+
+def _wide_engine():
+    pdf = random_relation(40, "ABCDEFG", 3, 8)
+    pdf.columns = WIDE
+    return engine_of(pdf)
+
+
+def test_bit_i_is_the_ith_sorted_name():
+    eng = _wide_engine()
+    assert eng.columns == tuple(WIDE)
+    assert [eng.bit[c] for c in sorted(WIDE)] == list(range(len(WIDE)))
+    assert eng.mask(["a1"]) == 1 << sorted(WIDE).index("a1")
+
+
+def test_attrs_inverts_mask():
+    eng = _wide_engine()
+    for r in range(len(WIDE) + 1):
+        for cols in combinations(WIDE, r):
+            x = frozenset(cols)
+            assert eng.attrs(eng.mask(x)) == x
+            assert eng.mask(eng.mask(x)) == eng.mask(x)
+
+
+def test_unknown_name_or_bit_raises():
+    eng = _wide_engine()
+    with pytest.raises(KeyError):
+        eng.mask(["a1", "nope"])
+    with pytest.raises(KeyError):
+        eng.mask(1 << len(WIDE))
+    with pytest.raises(KeyError):
+        eng.entropy((1 << len(WIDE)) | 1)
+    with pytest.raises(KeyError):
+        eng.mask(-1)
+    assert eng.mask((1 << len(WIDE)) - 1) == (1 << len(WIDE)) - 1
+
+
+def test_names_and_mask_share_one_cache_entry():
+    eng = _wide_engine()
+    h = eng.entropy(["x", "a10"])
+    n, cached = eng.entropy_computations, len(eng._cache)
+    assert eng.entropy(eng.mask(["a10", "x"])) == h
+    assert eng.entropy_computations == n and len(eng._cache) == cached
+
+
+def test_mutual_info_same_for_names_and_masks():
+    eng = _wide_engine()
+    m = eng.mask
+    for a, b in combinations(WIDE, 2):
+        for x in ([], ["zeta"], ["B", "a2"]):
+            if a in x or b in x:
+                continue
+            by_name = eng.mutual_info({a}, {b}, x)
+            assert eng.mutual_info(m([a]), m([b]), m(x)) == by_name
+            assert eng.mutual_info(m([a]), {b}, frozenset(x)) == by_name

@@ -86,7 +86,7 @@ def test_fullmvds_micro():
 
 
 def test_nursery_mining_micro():
-    schemes, _ = mine_nursery_schemas(
+    schemes = mine_nursery_schemas(
         thresholds=[0.3], max_schemas_per_eps=5, mine_deadline_s=10.0
     )
     assert len(schemes) >= 1

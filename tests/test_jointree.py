@@ -6,9 +6,9 @@ from repro.core.jointree import (
     normalize_schema,
     schema_int_width,
     schema_width,
-    support_mvds,
 )
 from repro.core.mvd import MVD
+from tests.helpers import support_mvds
 
 
 def fs(*names):

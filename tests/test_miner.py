@@ -6,6 +6,7 @@ import math
 from itertools import combinations
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.bruteforce import (
@@ -71,20 +72,6 @@ def test_full_mvds_match_brute(seed, eps):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("eps", EPSILONS)
-def test_unoptimized_matches_optimized(seed, eps):
-    pdf = random_relation(30, "ABCDE", 2, seed + 30)
-    m_opt = MVDMiner(LocalPLIEngine(pdf), eps, optimized=True)
-    m_plain = MVDMiner(LocalPLIEngine(pdf), eps, optimized=False)
-    for key in [frozenset(), frozenset("A")]:
-        rest = sorted(set("ABCDE") - key)
-        pair = (rest[0], rest[-1])
-        assert set(m_opt.get_full_mvds(key, pair)) == set(
-            m_plain.get_full_mvds(key, pair)
-        )
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("eps", EPSILONS)
 def test_mine_matches_brute(seed, eps):
     pdf = random_relation(30, "ABCD", 2, seed + 40)
     res = MVDMiner(LocalPLIEngine(pdf), eps).mine()
@@ -139,8 +126,6 @@ def test_pair_in_key_rejected():
 
 def test_two_column_relation():
     # Only candidate: {} ->> A|B. Independent product -> holds.
-    import pandas as pd
-
     pdf = pd.DataFrame([(0, 0), (0, 1), (1, 0), (1, 1)], columns=["A", "B"])
     res = MVDMiner(LocalPLIEngine(pdf), 0.0).mine()
     assert res.full_mvds == [MVD.of("", ["A", "B"])]
@@ -250,9 +235,12 @@ def test_closure_matches_restart_scan(eps):
         cols = list(pdf.columns)
         miner = MVDMiner(LocalPLIEngine(pdf), eps)
         ref_engine = LocalPLIEngine(pdf)
+        mask = miner.engine.mask
         for key, parts, pair in _closure_cases(rng, cols, 60):
             want = restart_scan_closure(ref_engine, miner.eps_eff, key, parts, pair)
-            got = miner._closure(key, [], list(parts), pair)
+            got = miner._closure(mask(key), [], [mask(p) for p in parts], mask(pair or ()))
+            if got is not None:
+                got = tuple(miner.engine.attrs(p) for p in got)
             assert got == want, f"key={sorted(key)} parts={parts} pair={pair}"
             if want is None:
                 outcomes["none"] += 1
@@ -268,7 +256,11 @@ def test_closure_matches_restart_scan(eps):
             want_child = restart_scan_closure(
                 ref_engine, miner.eps_eff, key, others + [merged], pair
             )
-            got_child = miner._closure(key, list(others), [merged], pair)
+            got_child = miner._closure(
+                mask(key), [mask(p) for p in others], [mask(merged)], mask(pair or ())
+            )
+            if got_child is not None:
+                got_child = tuple(miner.engine.attrs(p) for p in got_child)
             assert got_child == want_child, f"key={sorted(key)} parent={want}"
             outcomes["child"] += 1
     assert all(n > 0 for n in outcomes.values()), outcomes
@@ -279,10 +271,12 @@ def test_canon_orders_blocks_by_minimum():
 
     rng = np.random.default_rng(3)
     attrs = ["A", "B", "a", "b", "age", "ab", "Z9", "z", "x_1", "x_10"]
+    engine = LocalPLIEngine(pd.DataFrame({c: [0] for c in rng.permutation(attrs)}))
     for _ in range(200):
         parts = _random_partition(rng, list(rng.permutation(attrs)))
-        assert _canon(parts) == _tuple_canon(parts)
-        assert list(_canon(parts)) == sorted(parts, key=min)
+        got = [engine.attrs(p) for p in _canon([engine.mask(p) for p in parts])]
+        assert tuple(got) == _tuple_canon(parts)
+        assert got == sorted(parts, key=min)
 
 
 def test_each_dependence_test_reaches_the_engine_once():
@@ -292,8 +286,9 @@ def test_each_dependence_test_reaches_the_engine_once():
         seen: dict = {}
         inner = engine.mutual_info
 
-        def counted(y, z, x=(), inner=inner, seen=seen):
-            k = (frozenset(x), frozenset((frozenset(y), frozenset(z))))
+        def counted(y, z, x=0, inner=inner, seen=seen):
+            assert all(type(v) is int for v in (y, z, x))  # masks, not names
+            k = (x, frozenset((y, z)))
             seen[k] = seen.get(k, 0) + 1
             return inner(y, z, x)
 
@@ -335,7 +330,7 @@ def test_truncated_search_is_reported_and_not_memoized():
                 x = frozenset(xs)
                 cut = miner.truncated_searches
                 ans = miner.separates(x, a, b)
-                memo_key = (x, a, b)
+                memo_key = (miner.engine.mask(x), miner.engine.mask((a, b)))
                 if miner.truncated_searches > cut and not ans:
                     assert memo_key not in miner._sep_memo
                     wrong_no += brute_separates(ref, x, a, b, 0.3)
@@ -377,3 +372,45 @@ def test_one_transversal_round_per_separator(seed, eps):
     again = miner.mine()
     assert again.stats["separator_tests"] == 0
     assert again.stats["transversal_rounds"] == again.n_minseps == res.n_minseps
+
+
+# ----------------------------------------------------------------------
+# names at the boundary, bit order from sorted names
+# ----------------------------------------------------------------------
+def test_results_are_reported_over_names():
+    pdf = random_relation(30, "ABCDE", 2, 12)
+    res = MVDMiner(LocalPLIEngine(pdf), 0.3).mine()
+    assert res.n_minseps > 0 and res.n_full_mvds > 0
+    for (a, b), seps in res.minseps.items():
+        assert {a, b} <= set("ABCDE")
+        for x in seps:
+            assert type(x) is frozenset and x <= set("ABCDE") - {a, b}
+    for m in res.full_mvds:
+        assert type(m) is MVD and type(m.key) is frozenset
+        assert all(type(d) is frozenset and d <= set("ABCDE") for d in m.deps)
+
+
+def test_reduce_min_sep_drops_the_lowest_bits_first():
+    # A and B both reveal C, and are independent given C. D copies C, so
+    # {C} and {D} are the two minimal A,B-separators.
+    rows = [(2 * c + a, 2 * c + b, c, c) for c in (0, 1) for a in (0, 1) for b in (0, 1)]
+    pdf = pd.DataFrame(rows, columns=["A", "B", "C", "D"])
+    miner = MVDMiner(LocalPLIEngine(pdf[["D", "B", "C", "A"]]), 0.0)
+    # Ascending bits is sorted names: C is tried (and dropped) before D.
+    assert miner.reduce_min_sep(frozenset("CD"), "A", "B") == miner.engine.mask("D")
+    assert miner.mine_min_seps("A", "B") == [frozenset("D"), frozenset("C")]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_column_order_does_not_change_the_search(seed, eps):
+    pdf = random_relation(20, "ABCDEFG", 3, seed + 70)
+    pdf.columns = ["g", "C00", "b", "C10", "a", "C2", "f"]
+    shuffled = pdf[list(np.random.default_rng(seed).permutation(pdf.columns))]
+    assert list(shuffled.columns) != list(pdf.columns)
+    res = MVDMiner(LocalPLIEngine(pdf), eps).mine()
+    again = MVDMiner(LocalPLIEngine(shuffled), eps).mine()
+    assert max(len(v) for v in res.minseps.values()) > 1
+    assert list(again.minseps.items()) == list(res.minseps.items())
+    assert again.full_mvds == res.full_mvds
+    assert again.stats == res.stats

@@ -71,43 +71,6 @@ def test_refines_incomparable():
     assert not m1.refines(m2) and not m2.refines(m1)
 
 
-def test_join_refines_both():
-    m1 = MVD.of("X", ["AB", "CD"])
-    m2 = MVD.of("X", ["AC", "BD"])
-    j = m1.join(m2)
-    assert j == MVD.of("X", ["A", "B", "C", "D"])
-    assert j.refines(m1) and j.refines(m2)
-
-
-def test_join_drops_empty_intersections():
-    m1 = MVD.of("X", ["AB", "C"])
-    m2 = MVD.of("X", ["A", "BC"])
-    assert m1.join(m2) == MVD.of("X", ["A", "B", "C"])
-
-
-def test_join_requires_same_key():
-    with pytest.raises(ValueError):
-        MVD.of("X", ["A", "B"]).join(MVD.of("Y", ["A", "B"]))
-
-
-def test_merge():
-    m = MVD.of("X", ["A", "B", "C"])
-    merged = {m.merge(i, j) for i in range(3) for j in range(3) if i != j}
-    assert merged == {
-        MVD.of("X", ["AB", "C"]),
-        MVD.of("X", ["AC", "B"]),
-        MVD.of("X", ["BC", "A"]),
-    }
-    with pytest.raises(ValueError):
-        m.merge(1, 1)
-
-
-def test_merge_then_refines():
-    m = MVD.of("X", ["A", "B", "C", "D"])
-    assert m.refines(m.merge(0, 1))
-    assert m.merge(0, 1).refines(m.merge(0, 1))
-
-
 def test_str_roundtrippable_labels():
     assert str(MVD.of("X", ["A", "BC"])) == "X ->> A|BC"
     assert str(MVD.of("", ["A", "B"])) == "{} ->> A|B"

@@ -2,7 +2,7 @@
 end-to-end schema enumeration (Fig 8)."""
 import pytest
 
-from repro.core.jointree import build_join_tree, support_mvds
+from repro.core.jointree import build_join_tree
 from repro.core.miner import MVDMiner
 from repro.core.mvd import MVD
 from repro.core.schema_miner import (
@@ -11,7 +11,7 @@ from repro.core.schema_miner import (
     enumerate_schemas,
 )
 from repro.entropy.local_pli import LocalPLIEngine
-from tests.helpers import random_relation
+from tests.helpers import random_relation, support_mvds
 
 
 def fs(*names):
