@@ -2,16 +2,20 @@
 
 A schema is acyclic iff it admits a join tree: a tree over its bags
 where, for every attribute, the bags containing it form a connected
-subtree (the running-intersection property). We build join trees with
-Kruskal's maximum-weight spanning tree on pairwise bag-intersection
-sizes -- for acyclic hypergraphs every maximum-weight spanning tree is a
-join tree (Maier), and we verify running intersection afterwards, so
-:func:`build_join_tree` doubles as the acyclicity test.
+subtree (the running-intersection property). :func:`build_join_tree`
+grows a maximum-weight spanning tree on bag-intersection sizes with
+Prim's algorithm (an acyclic schema's join trees are exactly these
+trees: Bernstein & Goodman 1981; Maier 1983) and doubles as the
+acyclicity test. In a spanning tree the edges whose separator holds
+attribute a form a forest on the deg(a) bags holding a, so the tree is a
+join tree iff its weight is sum(deg(a) - 1) = sum |bag| - |attributes|.
+Edges are (parent, child) pairs, parents first from root bag 0, so
+``reversed(edges)`` puts every child before its parent.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def normalize_schema(bags: Iterable[Iterable[str]]) -> tuple[frozenset, ...]:
@@ -24,7 +28,8 @@ def normalize_schema(bags: Iterable[Iterable[str]]) -> tuple[frozenset, ...]:
 
 @dataclass(frozen=True)
 class JoinTree:
-    """A join tree: ``bags[i]`` are the nodes, ``edges`` index pairs."""
+    """A join tree: ``bags[i]`` are the nodes, ``edges`` (parent, child)
+    index pairs, parents first."""
 
     bags: tuple[frozenset, ...]
     edges: tuple[tuple[int, int], ...]
@@ -35,45 +40,6 @@ class JoinTree:
 
     def separators(self) -> list[frozenset]:
         return [self.bags[u] & self.bags[v] for (u, v) in self.edges]
-
-
-class _DSU:
-    def __init__(self, n: int):
-        self.p = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.p[ra] = rb
-        return True
-
-
-def _running_intersection_ok(bags: Sequence[frozenset], edges: Sequence[tuple[int, int]]) -> bool:
-    adj: dict[int, list[int]] = {i: [] for i in range(len(bags))}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for attr in frozenset().union(*bags):
-        holders = {i for i, b in enumerate(bags) if attr in b}
-        start = next(iter(holders))
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in holders and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != holders:
-            return False
-    return True
 
 
 def build_join_tree(bags: Iterable[Iterable[str]]) -> JoinTree | None:
@@ -88,24 +54,20 @@ def build_join_tree(bags: Iterable[Iterable[str]]) -> JoinTree | None:
     norm = normalize_schema(bags)
     if not norm:
         return None
-    if len(norm) == 1:
-        return JoinTree(norm, ())
-    weighted = sorted(
-        (
-            (len(norm[i] & norm[j]), i, j)
-            for i in range(len(norm))
-            for j in range(i + 1, len(norm))
-        ),
-        key=lambda t: (-t[0], t[1], t[2]),
-    )
-    dsu = _DSU(len(norm))
+    # Bag outside the tree -> (weight, parent) of its heaviest edge into it.
+    best = {c: (len(norm[0] & norm[c]), 0) for c in range(1, len(norm))}
     edges: list[tuple[int, int]] = []
-    for _, i, j in weighted:
-        if dsu.union(i, j):
-            edges.append((i, j))
-            if len(edges) == len(norm) - 1:
-                break
-    if not _running_intersection_ok(norm, edges):
+    weight = 0
+    while best:
+        c = max(best, key=lambda b: best[b][0])
+        w, p = best.pop(c)
+        edges.append((p, c))
+        weight += w
+        for b, (wb, _) in best.items():
+            shared = len(norm[c] & norm[b])
+            if shared > wb:
+                best[b] = (shared, c)
+    if weight != sum(map(len, norm)) - len(frozenset().union(*norm)):
         return None
     return JoinTree(norm, tuple(edges))
 

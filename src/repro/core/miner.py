@@ -228,8 +228,13 @@ class MVDMiner:
                         visited.add(child)
                         stack.append(child)
         # All found nodes partition the same attributes under one key, so
-        # "o strictly refines m" is "o has more blocks and refines m".
-        full = [m for m in found if not any(len(o) > len(m) and _refines(o, m) for o in found)]
+        # "o strictly refines m" is "o has more blocks and refines m". The
+        # filter is quadratic in len(found), so it answers to the deadline.
+        full = []
+        for m in found:
+            self.deadline.check()
+            if not any(len(o) > len(m) and _refines(o, m) for o in found):
+                full.append(m)
         attrs = self.engine.attrs
         return sorted((MVD.of(attrs(key), map(attrs, m)) for m in full), key=str)
 

@@ -2,8 +2,9 @@
 
 - ``spurious_pct``: E = (|join of bag projections| - |R|) / |R| * 100.
   Only the size of the acyclic join is needed, so it is counted, not
-  materialized: weights propagate bottom-up over the join tree
-  (Yannakakis, VLDB 1981; Abo Khamis, Ngo, Rudra, "FAQ", PODS 2016).
+  materialized: weights propagate bottom-up over the join tree, whose
+  parent-first edges are walked in reverse (Yannakakis, VLDB 1981;
+  Abo Khamis, Ngo, Rudra, "FAQ", PODS 2016).
 - ``cell_savings_pct``: S = (cells(R) - sum cells(R[bag])) / cells(R),
   with cells = #rows * #columns of the distinct projections (Sec. 8.1).
 - ``schema_width`` / ``schema_int_width`` / #relations (Sec. 8.4) live
@@ -60,7 +61,8 @@ def _checked_mul(a: pd.Series, b: pd.Series | int) -> np.ndarray:
 
 
 def _join_size(tree: JoinTree, frames: list[pd.DataFrame]) -> int:
-    """|R[bag_1] |><| ... |><| R[bag_m]| by count propagation, leaves first.
+    """|R[bag_1] |><| ... |><| R[bag_m]| by count propagation, leaves first
+    (the tree's edges in reverse).
 
     A bag tuple's weight is the number of join tuples of its subtree that
     extend it. A child sends its parent the sum of its weights per
@@ -69,21 +71,9 @@ def _join_size(tree: JoinTree, frames: list[pd.DataFrame]) -> int:
     intermediate weight is at most the join size, because all bags
     project one relation, so a join size below 2**63 never overflows.
     """
-    adj: dict[int, list[int]] = {i: [] for i in range(len(tree.bags))}
-    for u, v in tree.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = {0: -1}
-    order = [0]
-    for u in order:  # BFS: every node comes after its parent
-        for v in adj[u]:
-            if v not in parent:
-                parent[v] = u
-                order.append(v)
     for f in frames:
         f[_WEIGHT] = np.ones(len(f), dtype=np.int64)
-    for c in reversed(order[1:]):
-        p = parent[c]
+    for p, c in reversed(tree.edges):
         sep = sorted(tree.bags[c] & tree.bags[p])
         # Each per-separator sum is at most the total, so no sum below wraps.
         total = _checked_sum(frames[c][_WEIGHT])

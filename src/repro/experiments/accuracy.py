@@ -11,35 +11,11 @@ import numpy as np
 import pandas as pd
 
 from repro import datasets
-from repro.core.miner import MVDMiner
 from repro.core.quality import spurious_pct
-from repro.core.schema_miner import enumerate_schemas
 from repro.entropy.local_pli import LocalPLIEngine
-from repro.experiments.common import write_markdown
+from repro.experiments.common import stratify, sweep_schemes, write_markdown
 
 DEFAULT_DATASETS = ("abalone", "breast_cancer", "echocardiogram", "bridges")
-
-
-def collect_schemes(
-    pdf: pd.DataFrame,
-    thresholds: list[float],
-    *,
-    max_schemas_per_eps: int = 50,
-    mine_deadline_s: float = 30.0,
-) -> list[tuple[tuple, float]]:
-    """(bags, J) for the union of schemes over the threshold sweep."""
-    engine = LocalPLIEngine(pdf)
-    out: dict[tuple, float] = {}
-    for eps in thresholds:
-        res = MVDMiner(engine, eps, deadline_s=mine_deadline_s).mine()
-        for schema in enumerate_schemas(
-            res.full_mvds, engine.columns, max_schemas=max_schemas_per_eps
-        ):
-            if schema.bags not in out:
-                out[schema.bags] = engine.j_tree(
-                    list(schema.tree.bags), list(schema.tree.edges)
-                )
-    return sorted(out.items(), key=lambda kv: kv[1])
 
 
 def run_accuracy(
@@ -58,22 +34,20 @@ def run_accuracy(
     rows = []
     for name in names:
         pdf = datasets.load(name, rows_cap=rows_cap, noise=noise)
+        schemes = stratify(
+            sweep_schemes(
+                LocalPLIEngine(pdf), thresholds, max_schemes=50, mine_deadline_s=30.0
+            ),
+            quality_cap,
+        )
+        if not schemes:
+            continue
         df = spark.createDataFrame(pdf)
         df.persist()
         n_rows = df.count()
-        schemes = collect_schemes(pdf, thresholds)
-        if len(schemes) > quality_cap:
-            # Stratify across the J range (Fig 12 buckets the full range).
-            idx = np.unique(
-                np.linspace(0, len(schemes) - 1, quality_cap).astype(int)
-            )
-            schemes = [schemes[i] for i in idx]
-        if not schemes:
-            df.unpersist()
-            continue
         measured = [
-            {"J": j, "spurious_pct": spurious_pct(df, list(bags), n_rows)}
-            for bags, j in schemes
+            {"J": j, "spurious_pct": spurious_pct(df, schema.bags, n_rows)}
+            for schema, j, _ in schemes
         ]
         df.unpersist()
         m = pd.DataFrame(measured)

@@ -5,14 +5,20 @@ DataFrame shaped like the paper's table/figure data, and can write it as
 a markdown table under ``results/``. Engine construction is pluggable:
 benchmarks use the driver-side PLI engine on generated pandas frames;
 ``jobs/`` route the scan through Spark (``LocalPLIEngine.from_spark``).
+The scheme experiments (Figs 10-12) share one threshold sweep,
+:func:`sweep_schemes`, and one sampler over its J-ordered output,
+:func:`stratify`.
 """
 from __future__ import annotations
 
 import os
-from typing import Callable
+from typing import Callable, Sequence
 
+import numpy as np
 import pandas as pd
 
+from repro.core.miner import MVDMiner
+from repro.core.schema_miner import MinedSchema, enumerate_schemas
 from repro.entropy.base import EntropyEngine
 from repro.entropy.local_pli import LocalPLIEngine
 
@@ -31,6 +37,34 @@ def spark_engine_factory(spark) -> EngineFactory:
         return LocalPLIEngine.from_spark(spark.createDataFrame(pdf))
 
     return make
+
+
+def sweep_schemes(
+    engine: EntropyEngine,
+    thresholds: Sequence[float],
+    *,
+    max_schemes: int,
+    mine_deadline_s: float,
+) -> list[tuple[MinedSchema, float, float]]:
+    """The distinct schemes ASMiner finds over the threshold sweep (at
+    most ``max_schemes`` per threshold), as (schema, J, first threshold
+    that found it), by ascending J."""
+    seen: dict[tuple[frozenset, ...], tuple[MinedSchema, float, float]] = {}
+    for eps in thresholds:
+        res = MVDMiner(engine, eps, deadline_s=mine_deadline_s).mine()
+        for schema in enumerate_schemas(res.full_mvds, engine.columns, max_schemas=max_schemes):
+            if schema.bags not in seen:
+                j = engine.j_tree(list(schema.tree.bags), list(schema.tree.edges))
+                seen[schema.bags] = (schema, j, eps)
+    return sorted(seen.values(), key=lambda s: s[1])
+
+
+def stratify(items: Sequence, cap: int) -> list:
+    """At most ``cap`` of ``items``, evenly spaced over the sequence, so a
+    sample of J-ordered schemes spans the whole J range."""
+    if len(items) <= cap:
+        return list(items)
+    return [items[i] for i in np.unique(np.linspace(0, len(items) - 1, cap).astype(int))]
 
 
 def results_dir() -> str:

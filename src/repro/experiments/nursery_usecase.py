@@ -10,42 +10,12 @@ materialized (see core.quality).
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
 from repro import datasets
-from repro.core.miner import MVDMiner
 from repro.core.quality import cell_savings_pct, spurious_pct
-from repro.core.schema_miner import enumerate_schemas
 from repro.entropy.local_pli import LocalPLIEngine
-from repro.experiments.common import write_markdown
-
-
-def mine_nursery_schemas(
-    *,
-    thresholds: list[float],
-    max_schemas_per_eps: int = 200,
-    mine_deadline_s: float = 60.0,
-    noise: float = 0.02,
-) -> pd.DataFrame:
-    """Union of schemas found across the threshold sweep, with J(S)."""
-    pdf = datasets.nursery(noise=noise)
-    engine = LocalPLIEngine(pdf)
-    seen: dict[tuple, dict] = {}
-    for eps in thresholds:
-        miner = MVDMiner(engine, eps, deadline_s=mine_deadline_s)
-        res = miner.mine()
-        for schema in enumerate_schemas(
-            res.full_mvds, engine.columns, max_schemas=max_schemas_per_eps
-        ):
-            if schema.bags not in seen:
-                seen[schema.bags] = {
-                    "schema": " / ".join("".join(sorted(b)) for b in schema.bags),
-                    "n_relations": len(schema.bags),
-                    "J": engine.j_tree(list(schema.tree.bags), list(schema.tree.edges)),
-                    "found_at_eps": eps,
-                }
-    return pd.DataFrame(sorted(seen.values(), key=lambda r: r["J"]))
+from repro.experiments.common import stratify, sweep_schemes, write_markdown
 
 
 def run_nursery(
@@ -65,23 +35,26 @@ def run_nursery(
     df = spark.createDataFrame(pdf)
     df.persist()
     n_rows = df.count()
-    schemes = mine_nursery_schemas(
-        thresholds=thresholds, max_schemas_per_eps=max_schemas_per_eps, noise=noise
-    )
     # Quality for up to quality_cap schemes, stratified
     # across the J range so the S-vs-E cloud spans like Fig 11.
-    if len(schemes) > quality_cap:
-        idx = np.unique(np.linspace(0, len(schemes) - 1, quality_cap).astype(int))
-        schemes = schemes.iloc[idx].copy()
-    else:
-        schemes = schemes.copy()
-    sav, spur = [], []
-    for bags_str in schemes["schema"]:
-        bags = [frozenset(part) for part in bags_str.split(" / ")]
-        sav.append(cell_savings_pct(df, bags, n_rows))
-        spur.append(spurious_pct(df, bags, n_rows))
-    schemes["savings_pct"] = np.round(sav, 2)
-    schemes["spurious_pct"] = np.round(spur, 2)
+    swept = stratify(
+        sweep_schemes(
+            LocalPLIEngine(pdf), thresholds, max_schemes=max_schemas_per_eps,
+            mine_deadline_s=60.0,
+        ),
+        quality_cap,
+    )
+    schemes = pd.DataFrame(
+        {
+            "schema": " / ".join("".join(sorted(b)) for b in s.bags),
+            "n_relations": s.n_relations,
+            "J": j,
+            "found_at_eps": eps,
+            "savings_pct": cell_savings_pct(df, s.bags, n_rows),
+            "spurious_pct": spurious_pct(df, s.bags, n_rows),
+        }
+        for s, j, eps in swept
+    ).round({"savings_pct": 2, "spurious_pct": 2})
     df.unpersist()
 
     pareto = _pareto(schemes)

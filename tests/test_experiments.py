@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from repro import datasets
+from repro.entropy.local_pli import LocalPLIEngine
 from repro.experiments.accuracy import run_accuracy
 
 
@@ -12,9 +14,15 @@ def _isolated_results(tmp_path, monkeypatch):
     """Micro runs must not clobber the benchmark-scale results/*.md."""
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
 from repro.experiments.col_scalability import run_col_scalability
-from repro.experiments.common import results_dir, spark_engine_factory, to_markdown
+from repro.experiments.common import (
+    results_dir,
+    spark_engine_factory,
+    stratify,
+    sweep_schemes,
+    to_markdown,
+)
 from repro.experiments.fullmvds import run_fullmvds
-from repro.experiments.nursery_usecase import mine_nursery_schemas, run_nursery
+from repro.experiments.nursery_usecase import run_nursery
 from repro.experiments.quality import run_quality
 from repro.experiments.row_scalability import run_row_scalability
 from repro.experiments.table2 import run_table2
@@ -86,11 +94,19 @@ def test_fullmvds_micro():
 
 
 def test_nursery_mining_micro():
-    schemes = mine_nursery_schemas(
-        thresholds=[0.3], max_schemas_per_eps=5, mine_deadline_s=10.0
+    schemes = sweep_schemes(
+        LocalPLIEngine(datasets.nursery()), [0.3], max_schemes=5, mine_deadline_s=10.0
     )
     assert len(schemes) >= 1
-    assert {"schema", "J", "n_relations"} <= set(schemes.columns)
+    for schema, j, eps in schemes:
+        assert schema.n_relations == len(schema.bags) >= 2
+        assert j >= 0.0 and eps == 0.3
+    assert [j for _, j, _ in schemes] == sorted(j for _, j, _ in schemes)
+
+
+def test_stratify_spans_the_sequence():
+    assert stratify(list(range(10)), 4) == [0, 3, 6, 9]
+    assert stratify(list("ab"), 5) == ["a", "b"]
 
 
 def test_nursery_full_micro(spark):

@@ -1,4 +1,7 @@
 """Join trees, acyclicity detection, support MVDs (Sec. 3.1, Def. 3.1)."""
+from typing import Sequence
+
+import numpy as np
 import pytest
 
 from repro.core.jointree import (
@@ -13,6 +16,71 @@ from tests.helpers import support_mvds
 
 def fs(*names):
     return [frozenset(n) for n in names]
+
+
+def running_intersection_ok(bags: Sequence[frozenset], edges) -> bool:
+    """Reference: for every attribute, the bags holding it are connected
+    through tree edges between bags that hold it (a DFS per attribute)."""
+    adj: dict[int, list[int]] = {i: [] for i in range(len(bags))}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for attr in frozenset().union(*bags):
+        holders = {i for i, b in enumerate(bags) if attr in b}
+        start = next(iter(holders))
+        seen = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w in holders and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if seen != holders:
+            return False
+    return True
+
+
+def gyo_acyclic(bags) -> bool:
+    """Reference acyclicity test, the GYO reduction: delete attributes
+    held by one bag and bags contained in another until neither applies;
+    the schema is acyclic iff at most one bag is left."""
+    edges = [set(b) for b in bags]
+    changed = True
+    while changed:
+        changed = False
+        for e in edges:
+            lone = {a for a in e if sum(a in f for f in edges) == 1}
+            if lone:
+                e -= lone
+                changed = True
+        for i, e in enumerate(edges):
+            if any(j != i and e <= f for j, f in enumerate(edges)):
+                del edges[i]
+                changed = True
+                break
+    return len(edges) <= 1
+
+
+def random_schemas(n: int, seed: int):
+    """Seeded random schemas over at most 8 attributes: up to six random
+    bags of 1-4 attributes per group of attributes, where one schema in
+    four has two attribute-disjoint groups. About one in ten is cyclic."""
+    rng = np.random.default_rng(seed)
+    names = "ABCDEFGH"
+    for _ in range(n):
+        n_attrs = int(rng.integers(2, 9))
+        attrs = list(names[:n_attrs])
+        groups = [attrs]
+        if rng.random() < 0.25 and n_attrs >= 4:
+            cut = int(rng.integers(2, n_attrs - 1))
+            groups = [attrs[:cut], attrs[cut:]]
+        bags = []
+        for group in groups:
+            for _ in range(int(rng.integers(1, 7))):
+                size = int(rng.integers(1, min(len(group), 4) + 1))
+                bags.append(frozenset(rng.choice(group, size, replace=False).tolist()))
+        yield bags
 
 
 def test_normalize_drops_contained_and_duplicates():
@@ -98,6 +166,34 @@ def test_support_mvds_cover_all_edges():
     # every MVD partitions the full attribute set
     for m in sup:
         assert m.key | frozenset().union(*m.deps) == frozenset("ABCDE")
+
+
+def test_verdict_matches_gyo_on_random_schemas():
+    cyclic = 0
+    for bags in random_schemas(6000, seed=0):
+        tree = build_join_tree(bags)
+        assert (tree is not None) == gyo_acyclic(bags), bags
+        if tree is None:
+            cyclic += 1
+            continue
+        assert tree.bags == normalize_schema(bags)
+        assert len(tree.edges) == len(tree.bags) - 1
+        assert running_intersection_ok(tree.bags, tree.edges), bags
+    assert 300 <= cyclic <= 5700  # both verdicts are exercised
+
+
+def test_edges_come_parent_first():
+    """Root 0; each edge's parent is 0 or the child of an earlier edge,
+    so every bag is reached once and reversed edges put children first."""
+    for bags in random_schemas(2000, seed=1):
+        tree = build_join_tree(bags)
+        if tree is None:
+            continue
+        reached = {0}
+        for p, c in tree.edges:
+            assert p in reached and c not in reached, tree.edges
+            reached.add(c)
+        assert reached == set(range(len(tree.bags)))
 
 
 @pytest.mark.parametrize("seed", range(6))

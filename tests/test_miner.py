@@ -15,7 +15,7 @@ from repro.core.bruteforce import (
     brute_mine,
     brute_separates,
 )
-from repro.core.miner import MVDMiner
+from repro.core.miner import Deadline, DeadlineReached, MVDMiner
 from repro.core.mvd import MVD
 from repro.entropy.local_pli import LocalPLIEngine
 from tests.helpers import exact_jd_relation, random_relation, sec52_relation
@@ -136,6 +136,34 @@ def test_deadline_returns_partial():
     miner = MVDMiner(LocalPLIEngine(pdf), 0.5, deadline_s=0.0)
     res = miner.mine()
     assert res.timed_out
+
+
+class _CallBudget(Deadline):
+    """A deadline that expires on the call after its first ``calls``."""
+
+    def __init__(self, calls: int):
+        super().__init__(None)
+        self.left = calls
+
+    def check(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise DeadlineReached()
+
+
+def test_full_mvd_post_filter_checks_the_deadline():
+    """The DFS checks the deadline once per node; the refinement filter
+    after it must check too, so a search that finds many MVDs cannot run
+    past the deadline there."""
+    pdf = random_relation(40, "ABCDE", 2, 0)
+    miner = MVDMiner(LocalPLIEngine(pdf), 0.3)
+    assert miner.get_full_mvds(frozenset())
+    nodes = miner.nodes_explored
+    miner = MVDMiner(LocalPLIEngine(pdf), 0.3)
+    miner.deadline = _CallBudget(nodes)  # enough for the DFS alone
+    with pytest.raises(DeadlineReached):
+        miner.get_full_mvds(frozenset())
+    assert miner.nodes_explored == nodes
 
 
 def test_large_eps_trivial_separator():
