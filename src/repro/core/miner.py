@@ -28,9 +28,10 @@ the block order (lowest bit first) follow sorted names. The public
 methods accept names or a mask; separators and MVDs are reported over
 names.
 
-A search that hits ``max_nodes_per_search`` is counted as truncated; its
-"no" is not memoized by :meth:`MVDMiner.separates`, and
-:attr:`MinerResult.complete` reports the run as partial.
+A search that explores more than :attr:`MVDMiner.max_nodes` nodes is
+counted as truncated; its "no" is not memoized by
+:meth:`MVDMiner.separates`, and :attr:`MinerResult.complete` reports the
+run as partial.
 
 Deviations from the pseudocode, documented in DESIGN.md: a visited set
 over canonical partitions (the merge graph is a DAG), and a
@@ -43,7 +44,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.mvd import MVD
 from repro.entropy.base import FLOAT_TOL, Attrs, EntropyEngine
@@ -117,19 +118,14 @@ _COUNTERS = (
 class MVDMiner:
     """Mines ``M_eps`` (Eq. 11) over one relation via an entropy engine."""
 
-    def __init__(
-        self,
-        engine: EntropyEngine,
-        epsilon: float,
-        *,
-        max_nodes_per_search: int = 50_000,
-        deadline_s: float | None = None,
-    ):
+    #: Node budget of one getFullMVDs search (a documented heuristic).
+    max_nodes = 50_000
+
+    def __init__(self, engine: EntropyEngine, epsilon: float, *, deadline_s: float | None = None):
         self.engine = engine
         self.eps = float(epsilon)
         # All threshold comparisons use eps + FLOAT_TOL (see entropy.base).
         self.eps_eff = self.eps + FLOAT_TOL
-        self.max_nodes = max_nodes_per_search
         self.deadline = Deadline(deadline_s)
         self._all = engine.mask(engine.columns)
         # (X, A|B) -> X separates A, B.
@@ -277,12 +273,10 @@ class MVDMiner:
     # ------------------------------------------------------------------
     # MineMinSeps (Fig 5)
     # ------------------------------------------------------------------
-    def mine_min_seps(
-        self, a: str, b: str, sink: list[frozenset] | None = None
-    ) -> list[frozenset]:
-        """All minimal A,B-separators, as frozensets of names. ``sink``
-        (if given) receives each separator as soon as it is discovered,
-        so deadline aborts still report partial progress.
+    def mine_min_seps(self, a: str, b: str) -> Iterator[frozenset]:
+        """All minimal A,B-separators, as frozensets of names, each
+        yielded as soon as it is found, so a caller that stops at a
+        deadline keeps the separators found before it.
 
         Each round takes the minimal transversals of the separators found
         so far and either adds one separator or ends the pair, so a
@@ -290,12 +284,11 @@ class MVDMiner:
         grows by appending, so :func:`minimal_transversals` folds just the
         new separator into the transversals it cached for the last round.
         """
-        sink = sink if sink is not None else []
         universe = self._all & ~self.engine.mask((a, b))
         if not self.separates(universe, a, b):
-            return sink
+            return
         c = [self.reduce_min_sep(universe, a, b)]
-        sink.append(self.engine.attrs(c[0]))
+        yield self.engine.attrs(c[0])
         processed: set[int] = set()
         while True:
             self.transversal_rounds += 1
@@ -309,10 +302,10 @@ class MVDMiner:
                     x = self.reduce_min_sep(comp, a, b)
                     if x not in c:
                         c.append(x)
-                        sink.append(self.engine.attrs(x))
+                        yield self.engine.attrs(x)
                         break
             else:
-                return sink
+                return
 
     # ------------------------------------------------------------------
     # MVDMiner main loop (Fig 3)
@@ -334,12 +327,11 @@ class MVDMiner:
         seen: set[MVD] = set()
         try:
             for a, b in pairs:
-                sink: list[frozenset] = []
-                res.minseps[(a, b)] = sink
-                self.mine_min_seps(a, b, sink=sink)
+                seps = res.minseps[(a, b)] = []
+                seps.extend(self.mine_min_seps(a, b))
                 if minseps_only:
                     continue
-                for x in sink:
+                for x in seps:
                     for m in self.get_full_mvds(x, (a, b)):
                         if m not in seen:
                             seen.add(m)

@@ -84,6 +84,9 @@ def _join_size(tree: JoinTree, frames: list[pd.DataFrame]) -> int:
             frames[c].groupby(sep, dropna=False, sort=False)[_WEIGHT].sum()
             .rename(_MESSAGE).reset_index()
         )
+        # Grouping turns an all-NULL object key into float64 NaN, which
+        # pandas will not merge with the parent's object column.
+        msg = msg.astype(frames[p][sep].dtypes.to_dict())
         merged = frames[p].merge(msg, on=sep)
         merged[_WEIGHT] = _checked_mul(merged[_WEIGHT], merged.pop(_MESSAGE))
         frames[p] = merged

@@ -9,11 +9,11 @@ BuildAcyclicSchema (Fig 9).
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.jointree import JoinTree, build_join_tree, normalize_schema
+from repro.core.miner import Deadline
 from repro.core.mvd import MVD
 from repro.graphs.mis import maximal_independent_sets
 
@@ -90,16 +90,20 @@ def enumerate_schemas(
     from maximal pairwise-compatible subsets of ``mvds``.
 
     The trivial schema {Omega} (every MVD in the set redundant) is
-    skipped. Caps mirror the paper's enumeration windows.
+    skipped. Caps mirror the paper's enumeration windows. The deadline
+    is checked once per row of the graph build and once per MIS, so it
+    also bounds the quadratic build before the first schema.
     """
     omega = frozenset(omega)
     mvds = list(mvds)
     n = len(mvds)
-    t0 = time.monotonic()
+    deadline = Deadline(deadline_s)
     # Compatibility graph as bitmask adjacency; MIS of incompatibility
     # graph = cliques of compatibility graph handled inside graphs.mis.
     incompat = [0] * n
     for i in range(n):
+        if deadline.expired():
+            return
         for j in range(i + 1, n):
             if not compatible(mvds[i], mvds[j]):
                 incompat[i] |= 1 << j
@@ -107,7 +111,7 @@ def enumerate_schemas(
     seen: set[tuple[frozenset, ...]] = set()
     emitted = 0
     for q_idx in maximal_independent_sets(n, incompat):
-        if deadline_s is not None and time.monotonic() - t0 > deadline_s:
+        if deadline.expired():
             return
         q = [mvds[i] for i in sorted(q_idx)]
         bags = build_acyclic_schema(q, omega)

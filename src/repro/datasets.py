@@ -30,29 +30,29 @@ def attr_names(n: int) -> list[str]:
 # ---------------------------------------------------------------------------
 # Planted acyclic schemas
 # ---------------------------------------------------------------------------
+#: Largest bag, and largest separator with an earlier bag, of a planted schema.
+_MAX_BAG, _MAX_SEP = 4, 2
+
+
 def random_tree_schema(
-    cols: Sequence[str],
-    rng: np.random.Generator,
-    *,
-    max_bag: int = 4,
-    max_sep: int = 2,
+    cols: Sequence[str], rng: np.random.Generator
 ) -> list[tuple[frozenset, frozenset]]:
     """A random acyclic schema over ``cols``.
 
     Returns a BFS-ordered list of (bag, separator-with-previous-bags);
     the first bag has an empty separator. Each later bag borrows 1..
-    ``max_sep`` attributes from one earlier bag and adds fresh ones, so
+    ``_MAX_SEP`` attributes from one earlier bag and adds fresh ones, so
     the running-intersection property holds by construction.
     """
     cols = list(cols)
-    k0 = min(len(cols), int(rng.integers(2, max_bag + 1)))
+    k0 = min(len(cols), int(rng.integers(2, _MAX_BAG + 1)))
     bags: list[tuple[frozenset, frozenset]] = [(frozenset(cols[:k0]), frozenset())]
     used = k0
     while used < len(cols):
         parent = bags[int(rng.integers(0, len(bags)))][0]
-        n_sep = min(len(parent), int(rng.integers(1, max_sep + 1)))
+        n_sep = min(len(parent), int(rng.integers(1, _MAX_SEP + 1)))
         sep = frozenset(rng.choice(sorted(parent), n_sep, replace=False).tolist())
-        n_new = min(len(cols) - used, int(rng.integers(1, max_bag)))
+        n_new = min(len(cols) - used, int(rng.integers(1, _MAX_BAG)))
         fresh = frozenset(cols[used : used + n_new])
         used += n_new
         bags.append((sep | fresh, sep))
@@ -65,10 +65,6 @@ def planted_relation(
     *,
     seed: int = 0,
     noise: float = 0.02,
-    domain_range: tuple[int, int] | None = None,
-    branch_p: float = 0.25,
-    max_bag: int = 4,
-    max_sep: int = 2,
 ) -> pd.DataFrame:
     """A relation with a planted acyclic schema plus noise tuples.
 
@@ -80,13 +76,11 @@ def planted_relation(
     """
     rng = np.random.default_rng(seed)
     cols = attr_names(n_cols)
-    if domain_range is None:
-        # Larger relations need larger attribute domains (as real data
-        # has) or the planted join cannot reach the row target.
-        hi = int(np.clip(3 + target_rows ** 0.25, 7, 40))
-        domain_range = (2, hi)
-    domains = {c: int(rng.integers(*domain_range)) for c in cols}
-    schema = random_tree_schema(cols, rng, max_bag=max_bag, max_sep=max_sep)
+    # Larger relations need larger attribute domains (as real data has)
+    # or the planted join cannot reach the row target.
+    hi = int(np.clip(3 + target_rows ** 0.25, 7, 40))
+    domains = {c: int(rng.integers(2, hi)) for c in cols}
+    schema = random_tree_schema(cols, rng)
 
     # Root bag: distinct tuples; children then branch adaptively so the
     # final join lands near target_rows.
@@ -112,7 +106,7 @@ def planted_relation(
         # bag, re-estimated after every join (self-correcting).
         need = max(1.0, (target_rows / max(1, len(r))) ** (1.0 / (n_children - t)))
         fresh_space = int(np.prod([domains[c] for c in fresh]))
-        branches = 1 + rng.poisson(max(branch_p, need - 1.0), len(sep_vals))
+        branches = 1 + rng.poisson(max(0.25, need - 1.0), len(sep_vals))
         branches = np.minimum(branches, fresh_space)
         child_rel = sep_vals.loc[sep_vals.index.repeat(branches)].reset_index(
             drop=True

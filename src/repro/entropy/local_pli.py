@@ -28,7 +28,7 @@ further composition -- the compressed fixpoint the paper relies on.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 import pandas as pd
@@ -58,6 +58,9 @@ def _factorize_strip(values: np.ndarray) -> _Partition:
     return _strip(codes, counts)
 
 
+#: Bound on the bytes of composed partitions an engine caches.
+_CACHE_BYTES = 1 << 30
+
 #: Largest ``n1 * n2 / N`` for which ``_combine`` counts cells densely.
 _DENSE_CELLS_PER_ROW = 8
 
@@ -86,36 +89,29 @@ def _combine(p1: _Partition, p2: _Partition) -> _Partition:
 class LocalPLIEngine(EntropyEngine):
     """Entropy oracle over an in-memory (pandas) snapshot of a relation.
 
-    ``cache_bytes`` bounds the memory spent on composed partitions
+    ``_CACHE_BYTES`` bounds the memory spent on composed partitions
     (base single-attribute partitions are always kept).
     """
 
-    def __init__(
-        self,
-        pdf: pd.DataFrame,
-        columns: Iterable[str] | None = None,
-        *,
-        cache_bytes: int = 1 << 30,
-    ):
-        cols = tuple(columns) if columns is not None else tuple(pdf.columns)
+    def __init__(self, pdf: pd.DataFrame):
+        cols = tuple(pdf.columns)
         super().__init__(cols, len(pdf))
         self._base: dict[int, _Partition] = {
             1 << self.bit[c]: _factorize_strip(pdf[c].to_numpy()) for c in cols
         }
         self._parts: OrderedDict[int, _Partition] = OrderedDict()
         row_bytes = 4 * max(1, self.n_rows)
-        self._max_entries = max(8, cache_bytes // row_bytes)
+        self._max_entries = max(8, _CACHE_BYTES // row_bytes)
 
     @classmethod
-    def from_spark(cls, df, columns: Iterable[str] | None = None, **kw) -> "LocalPLIEngine":
+    def from_spark(cls, df) -> "LocalPLIEngine":
         """Build from a Spark DataFrame via one distributed collect.
 
         This is the reproduction's analog of the paper's single pass that
         feeds the main-memory H2 store: Spark performs the scan/transfer
         (Arrow-accelerated), the lattice lives on the driver.
         """
-        cols = list(columns) if columns is not None else list(df.columns)
-        return cls(df.select(*cols).toPandas(), cols, **kw)
+        return cls(df.toPandas())
 
     # -- partition lattice ---------------------------------------------
     def _cached(self, mask: int) -> Optional[_Partition]:

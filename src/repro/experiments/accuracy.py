@@ -24,7 +24,6 @@ def run_accuracy(
     names: tuple[str, ...] = DEFAULT_DATASETS,
     thresholds: list[float] | None = None,
     rows_cap: int = 800,
-    noise: float = 0.03,
     quality_cap: int = 30,
     n_buckets: int = 5,
 ) -> pd.DataFrame:
@@ -33,7 +32,7 @@ def run_accuracy(
         thresholds = [0.0, 0.05, 0.1, 0.2, 0.3, 0.5]
     rows = []
     for name in names:
-        pdf = datasets.load(name, rows_cap=rows_cap, noise=noise)
+        pdf = datasets.load(name, rows_cap=rows_cap, noise=0.03)
         schemes = stratify(
             sweep_schemes(
                 LocalPLIEngine(pdf), thresholds, max_schemes=50, mine_deadline_s=30.0

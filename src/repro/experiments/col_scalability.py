@@ -11,7 +11,8 @@ import pandas as pd
 
 from repro import datasets
 from repro.core.miner import MVDMiner
-from repro.experiments.common import EngineFactory, fmt_runtime, local_engine, write_markdown
+from repro.entropy.local_pli import LocalPLIEngine
+from repro.experiments.common import EngineFactory, fmt_runtime, write_markdown
 
 DEFAULT_DATASETS = ("voter_state", "reflns")
 DEFAULT_EPS = (0.0, 0.01, 0.1)
@@ -24,12 +25,11 @@ def run_col_scalability(
     epsilons: tuple[float, ...] = DEFAULT_EPS,
     rows_cap: int = 2_000,
     per_run_timeout_s: float = 15.0,
-    noise: float = 0.02,
-    engine_factory: EngineFactory = local_engine,
+    engine_factory: EngineFactory = LocalPLIEngine,
 ) -> pd.DataFrame:
     rows = []
     for name in names:
-        full = datasets.load(name, rows_cap=rows_cap, noise=noise)
+        full = datasets.load(name, rows_cap=rows_cap)
         for frac in fractions:
             pdf = datasets.take_cols(full, frac)
             for eps in epsilons:

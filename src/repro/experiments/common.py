@@ -25,11 +25,6 @@ from repro.entropy.local_pli import LocalPLIEngine
 EngineFactory = Callable[[pd.DataFrame], EntropyEngine]
 
 
-def local_engine(pdf: pd.DataFrame) -> EntropyEngine:
-    """Default engine factory: driver-side PLI cache over a pandas frame."""
-    return LocalPLIEngine(pdf)
-
-
 def spark_engine_factory(spark) -> EngineFactory:
     """Engine factory that routes the input scan through Spark."""
 

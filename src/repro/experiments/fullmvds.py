@@ -15,7 +15,8 @@ import pandas as pd
 
 from repro import datasets
 from repro.core.miner import DeadlineReached, MVDMiner
-from repro.experiments.common import EngineFactory, local_engine, write_markdown
+from repro.entropy.local_pli import LocalPLIEngine
+from repro.experiments.common import EngineFactory, write_markdown
 
 DEFAULT_DATASETS = ("hepatitis", "echocardiogram", "bridges", "school_results")
 
@@ -25,14 +26,13 @@ def run_fullmvds(
     names: tuple[str, ...] = DEFAULT_DATASETS,
     thresholds: tuple[float, ...] = (0.0, 0.01, 0.05, 0.1, 0.3, 0.5),
     rows_cap: int = 400,
-    noise: float = 0.03,
     minsep_deadline_s: float = 20.0,
     window_s: float = 10.0,
-    engine_factory: EngineFactory = local_engine,
+    engine_factory: EngineFactory = LocalPLIEngine,
 ) -> pd.DataFrame:
     rows = []
     for name in names:
-        pdf = datasets.load(name, rows_cap=rows_cap, noise=noise)
+        pdf = datasets.load(name, rows_cap=rows_cap, noise=0.03)
         engine = engine_factory(pdf)
         for eps in thresholds:
             # A deadline leaves partial separators; they still feed phase 2.

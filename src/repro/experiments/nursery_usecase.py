@@ -24,14 +24,13 @@ def run_nursery(
     thresholds: list[float] | None = None,
     max_schemas_per_eps: int = 200,
     quality_cap: int = 40,
-    noise: float = 0.02,
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Returns (all-schemes table with S and E, pareto-front table)."""
     if thresholds is None:
         # Most distinct schemes appear at small thresholds (the class
         # noise level); the grid is denser there, like the paper's sweep.
         thresholds = [0.0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
-    pdf = datasets.nursery(noise=noise)
+    pdf = datasets.nursery()
     df = spark.createDataFrame(pdf)
     df.persist()
     n_rows = df.count()

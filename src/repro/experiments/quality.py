@@ -14,7 +14,8 @@ from repro import datasets
 from repro.core.jointree import schema_int_width, schema_width
 from repro.core.miner import MVDMiner
 from repro.core.schema_miner import enumerate_schemas
-from repro.experiments.common import EngineFactory, local_engine, write_markdown
+from repro.entropy.local_pli import LocalPLIEngine
+from repro.experiments.common import EngineFactory, write_markdown
 
 DEFAULT_DATASETS = ("image", "abalone", "adult", "breast_cancer")
 
@@ -24,15 +25,14 @@ def run_quality(
     names: tuple[str, ...] = DEFAULT_DATASETS,
     thresholds: tuple[float, ...] = (0.0, 0.01, 0.05, 0.1, 0.3, 0.5),
     rows_cap: int = 1_000,
-    noise: float = 0.03,
     mine_deadline_s: float = 20.0,
     enum_deadline_s: float = 10.0,
     max_schemas: int = 500,
-    engine_factory: EngineFactory = local_engine,
+    engine_factory: EngineFactory = LocalPLIEngine,
 ) -> pd.DataFrame:
     rows = []
     for name in names:
-        pdf = datasets.load(name, rows_cap=rows_cap, noise=noise)
+        pdf = datasets.load(name, rows_cap=rows_cap, noise=0.03)
         engine = engine_factory(pdf)
         for eps in thresholds:
             miner = MVDMiner(engine, eps, deadline_s=mine_deadline_s)

@@ -15,7 +15,8 @@ import pandas as pd
 
 from repro import datasets
 from repro.core.miner import MVDMiner
-from repro.experiments.common import EngineFactory, fmt_runtime, local_engine, write_markdown
+from repro.entropy.local_pli import LocalPLIEngine
+from repro.experiments.common import EngineFactory, fmt_runtime, write_markdown
 
 DEFAULT_DATASETS = ("image", "four_square", "ditag_feature")
 DEFAULT_EPS = (0.0, 0.01, 0.1)
@@ -28,13 +29,12 @@ def run_row_scalability(
     epsilons: tuple[float, ...] = DEFAULT_EPS,
     base_rows: int = 50_000,
     per_run_timeout_s: float = 60.0,
-    noise: float = 0.02,
-    engine_factory: EngineFactory = local_engine,
+    engine_factory: EngineFactory = LocalPLIEngine,
 ) -> pd.DataFrame:
     """Minimal-separator mining time per (dataset, fraction, eps)."""
     rows = []
     for name in names:
-        full = datasets.load(name, rows_cap=base_rows, noise=noise)
+        full = datasets.load(name, rows_cap=base_rows)
         for frac in fractions:
             pdf = datasets.sample_rows(full, frac, seed=1)
             for eps in epsilons:

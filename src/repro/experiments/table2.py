@@ -12,26 +12,25 @@ import pandas as pd
 
 from repro import datasets
 from repro.core.miner import MVDMiner
-from repro.experiments.common import EngineFactory, fmt_runtime, local_engine, write_markdown
+from repro.entropy.local_pli import LocalPLIEngine
+from repro.experiments.common import EngineFactory, fmt_runtime, write_markdown
 
 
 def run_table2(
     *,
     rows_cap: int = 2_000,
     timeout_s: float = 20.0,
-    epsilon: float = 0.0,
-    noise: float = 0.02,
     names: list[str] | None = None,
-    engine_factory: EngineFactory = local_engine,
+    engine_factory: EngineFactory = LocalPLIEngine,
 ) -> pd.DataFrame:
     """One row per dataset: ours vs the paper's Table 2."""
     rows = []
     for s in datasets.TABLE2:
         if names is not None and s.name not in names:
             continue
-        pdf = datasets.load(s.name, rows_cap=rows_cap, noise=noise)
+        pdf = datasets.load(s.name, rows_cap=rows_cap)
         engine = engine_factory(pdf)
-        miner = MVDMiner(engine, epsilon, deadline_s=timeout_s)
+        miner = MVDMiner(engine, 0.0, deadline_s=timeout_s)
         res = miner.mine()
         rows.append(
             {

@@ -58,8 +58,8 @@ def random_relation(n_rows: int, cols: str, n_vals: int, seed: int) -> pd.DataFr
     )
 
 
-def engine_of(pdf: pd.DataFrame, **kw) -> LocalPLIEngine:
-    return LocalPLIEngine(pdf, **kw)
+def engine_of(pdf: pd.DataFrame) -> LocalPLIEngine:
+    return LocalPLIEngine(pdf)
 
 
 def naive_entropy(pdf: pd.DataFrame, cols) -> float:

@@ -1,4 +1,6 @@
 """Synthetic dataset substrate: planted schemas, Nursery analog, registry."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -121,3 +123,14 @@ def test_sample_rows():
 def test_unknown_dataset_raises():
     with pytest.raises(KeyError):
         datasets.load("nope")
+
+
+def test_generated_data_is_pinned():
+    """Every benchmark input, and the digests of its outputs, depend on
+    the generator: a change to any analog's rows must be deliberate."""
+    h = hashlib.sha256()
+    for pdf in [datasets.load(s.name, rows_cap=120) for s in datasets.TABLE2] + [
+        datasets.nursery()
+    ]:
+        h.update(pdf.to_csv(index=False).encode())
+    assert h.hexdigest() == "05864cd43e097ffbc03fae8124578907ba83c6d3d78c3595e8d490d91029e854"

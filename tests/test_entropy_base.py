@@ -74,8 +74,9 @@ def test_duplicate_columns_rejected():
     from repro.entropy.local_pli import LocalPLIEngine
 
     pdf = random_relation(5, "AB", 2, 0)
+    pdf.columns = ["A", "A"]
     with pytest.raises(ValueError):
-        LocalPLIEngine(pdf, columns=["A", "A"])
+        LocalPLIEngine(pdf)
 
 
 def test_cache_hits_do_not_recompute():

@@ -96,11 +96,12 @@ def test_determinism_across_instances():
         assert e1.entropy(cols) == e2.entropy(cols)
 
 
-def test_tiny_cache_still_correct():
+def test_tiny_cache_still_correct(monkeypatch):
     """Eviction must never change results, only recompute."""
     pdf = random_relation(100, "ABCDEF", 3, 11)
-    small = LocalPLIEngine(pdf, cache_bytes=1)  # ~8 entries min
     big = LocalPLIEngine(pdf)
+    monkeypatch.setattr(local_pli, "_CACHE_BYTES", 1)
+    small = LocalPLIEngine(pdf)  # ~8 entries min
     for r in (2, 3, 4):
         for cols in combinations("ABCDEF", r):
             assert small.entropy(cols) == pytest.approx(big.entropy(cols), abs=1e-12)
@@ -177,13 +178,14 @@ SUBSETS_6 = [frozenset(c) for r in range(1, 7) for c in combinations("ABCDEF", r
 
 @pytest.mark.parametrize("cache_bytes", [1 << 30, 1])
 @pytest.mark.parametrize("order_seed", range(3))
-def test_any_query_order_matches_naive(order_seed, cache_bytes):
+def test_any_query_order_matches_naive(order_seed, cache_bytes, monkeypatch):
     """H must not depend on which subsets happen to be cached, nor on
     eviction (``cache_bytes=1`` keeps only 8 composed partitions)."""
     pdf = random_relation(100, "ABCDEF", 3, 21)
     queries = SUBSETS_6[:]
     random.Random(order_seed).shuffle(queries)
-    eng = LocalPLIEngine(pdf, cache_bytes=cache_bytes)
+    monkeypatch.setattr(local_pli, "_CACHE_BYTES", cache_bytes)
+    eng = LocalPLIEngine(pdf)
     for cols in queries:
         assert eng.entropy(cols) == pytest.approx(naive_entropy(pdf, sorted(cols)), abs=1e-9)
 

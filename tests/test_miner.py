@@ -107,7 +107,7 @@ def test_sec52_exact_separators():
     # {C} does: given C both A and B are constant.
     eng = LocalPLIEngine(sec52_relation())
     miner = MVDMiner(eng, 0.0)
-    assert miner.mine_min_seps("A", "B") == [frozenset("C")]
+    assert list(miner.mine_min_seps("A", "B")) == [frozenset("C")]
     assert not miner.separates(frozenset(), "A", "B")
     assert not miner.separates(frozenset("X"), "A", "B")
 
@@ -151,6 +151,25 @@ class _CallBudget(Deadline):
             raise DeadlineReached()
 
 
+def test_deadline_keeps_the_separators_found_so_far():
+    """A deadline that expires after a pair's first minimal separator
+    leaves that separator in the partial result."""
+    # A and B are independent given C, and given D (a copy of C).
+    rows = [(2 * c + a, 2 * c + b, c, c) for c in (0, 1) for a in (0, 1) for b in (0, 1)]
+    pdf = pd.DataFrame(rows, columns=["A", "B", "C", "D"])
+    full = MVDMiner(LocalPLIEngine(pdf), 0.0).mine([("A", "B")])
+    assert full.complete and len(full.minseps[("A", "B")]) == 2
+
+    miner = MVDMiner(LocalPLIEngine(pdf), 0.0)
+    miner.deadline = counter = _CallBudget(10**9)
+    first = next(miner.mine_min_seps("A", "B"))
+    miner = MVDMiner(LocalPLIEngine(pdf), 0.0)
+    miner.deadline = _CallBudget(10**9 - counter.left)
+    res = miner.mine([("A", "B")])
+    assert res.timed_out and not res.complete
+    assert res.minseps[("A", "B")] == [first]
+
+
 def test_full_mvd_post_filter_checks_the_deadline():
     """The DFS checks the deadline once per node; the refinement filter
     after it must check too, so a search that finds many MVDs cannot run
@@ -173,7 +192,7 @@ def test_large_eps_trivial_separator():
     eps = math.log2(len(pdf)) + 1
     miner = MVDMiner(LocalPLIEngine(pdf), eps)
     for a, b in combinations("ABC", 2):
-        assert miner.mine_min_seps(a, b) == [frozenset()]
+        assert list(miner.mine_min_seps(a, b)) == [frozenset()]
 
 
 def test_results_are_canonical_and_deduped():
@@ -342,13 +361,15 @@ def test_truncated_search_is_reported_and_not_memoized():
     res = MVDMiner(LocalPLIEngine(pdf), 0.3).mine()
     assert res.complete and res.stats["truncated_searches"] == 0
 
-    miner = MVDMiner(LocalPLIEngine(pdf), 0.3, max_nodes_per_search=1)
+    miner = MVDMiner(LocalPLIEngine(pdf), 0.3)
+    miner.max_nodes = 1
     res = miner.mine()
     assert res.complete is False
     assert not res.timed_out
     assert res.stats["truncated_searches"] > 0
 
-    miner = MVDMiner(LocalPLIEngine(pdf), 0.3, max_nodes_per_search=1)
+    miner = MVDMiner(LocalPLIEngine(pdf), 0.3)
+    miner.max_nodes = 1
     ref = LocalPLIEngine(pdf)
     wrong_no = 0
     for a, b in combinations("ABCDE", 2):
@@ -426,7 +447,7 @@ def test_reduce_min_sep_drops_the_lowest_bits_first():
     miner = MVDMiner(LocalPLIEngine(pdf[["D", "B", "C", "A"]]), 0.0)
     # Ascending bits is sorted names: C is tried (and dropped) before D.
     assert miner.reduce_min_sep(frozenset("CD"), "A", "B") == miner.engine.mask("D")
-    assert miner.mine_min_seps("A", "B") == [frozenset("D"), frozenset("C")]
+    assert list(miner.mine_min_seps("A", "B")) == [frozenset("D"), frozenset("C")]
 
 
 @pytest.mark.parametrize("seed", range(3))

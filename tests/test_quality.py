@@ -1,8 +1,10 @@
 """Schema quality metrics, with DuckDB oracle checks."""
+import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.quality import cell_savings_pct, spurious_pct
+from repro.core.jointree import build_join_tree
+from repro.core.quality import _join_size, cell_savings_pct, spurious_pct
 from repro.oracle import assert_equivalent
 from tests.helpers import exact_jd_relation
 from repro import datasets
@@ -88,6 +90,21 @@ def test_null_is_one_join_value(spark):
     pdf = pd.DataFrame({"A": [1, 1, 2], "B": [None, None, "x"], "C": [1, 1, 3]})
     df = spark.createDataFrame(pdf)
     assert spurious_pct(df, [frozenset("AB"), frozenset("BC")]) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("null", [None, np.nan])
+def test_all_null_separator_joins_itself(null):
+    # Every B is NULL, and NULL joins NULL: AB |><| BC is the 3 x 3 product.
+    pdf = pd.DataFrame({"A": [1, 2, 3], "B": [null] * 3, "C": [4, 5, 6]})
+    tree = build_join_tree([frozenset("AB"), frozenset("BC")])
+    frames = [pdf[sorted(bag)] for bag in tree.bags]
+    assert _join_size(tree, frames) == 9
+
+
+def test_all_null_separator_spurious(spark):
+    pdf = pd.DataFrame({"A": [1, 2, 3], "B": [None] * 3, "C": [4, 5, 6]})
+    df = spark.createDataFrame(pdf, "A long, B string, C long")
+    assert spurious_pct(df, [frozenset("AB"), frozenset("BC")]) == pytest.approx(200.0)
 
 
 def test_cell_savings_manual(spark):

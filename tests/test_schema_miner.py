@@ -1,7 +1,10 @@
 """ASMiner: compatibility (Def 7.1), BuildAcyclicSchema (Fig 9), and the
 end-to-end schema enumeration (Fig 8)."""
+from itertools import combinations
+
 import pytest
 
+import repro.core.schema_miner as schema_miner
 from repro.core.jointree import build_join_tree
 from repro.core.miner import MVDMiner
 from repro.core.mvd import MVD
@@ -187,3 +190,27 @@ def test_deadline_stops_enumeration():
     res = MVDMiner(LocalPLIEngine(pdf), 0.5).mine()
     out = list(enumerate_schemas(res.full_mvds, "ABCDE", deadline_s=0.0))
     assert out == []
+
+
+def test_deadline_bounds_the_graph_build(monkeypatch):
+    """The incompatibility graph costs n^2/2 compatibility tests before
+    the first schema; an expired deadline must stop it before the first."""
+    cols = "ABCDEFGH"
+    mvds = [
+        MVD.of(key, [rest[:i], rest[i:]])
+        for key in combinations(cols, 2)
+        for rest in [[c for c in cols if c not in key]]
+        for i in (1, 3)
+    ]
+    assert len(mvds) >= 50
+    calls = []
+
+    def counting(phi, psi):
+        calls.append(1)
+        return compatible(phi, psi)
+
+    monkeypatch.setattr(schema_miner, "compatible", counting)
+    assert list(enumerate_schemas(mvds, cols, max_schemas=50, deadline_s=0.0)) == []
+    assert calls == []
+    assert list(enumerate_schemas(mvds, cols, max_schemas=1))
+    assert calls
