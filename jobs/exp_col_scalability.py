@@ -8,10 +8,9 @@ from repro.experiments.col_scalability import run_col_scalability  # noqa: E402
 from repro.experiments.common import spark_engine_factory, to_markdown  # noqa: E402
 
 
-def run(spark, rows_cap: int = 2_000, timeout_s: float = 20.0):
+def run(spark, rows_cap: int = 2_000):
     return run_col_scalability(
         rows_cap=rows_cap,
-        per_run_timeout_s=timeout_s,
         engine_factory=spark_engine_factory(spark),
     )
 

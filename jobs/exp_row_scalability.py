@@ -9,10 +9,9 @@ from repro.experiments.common import spark_engine_factory, to_markdown  # noqa: 
 from repro.experiments.row_scalability import run_row_scalability  # noqa: E402
 
 
-def run(spark, base_rows: int = 50_000, timeout_s: float = 60.0):
+def run(spark, base_rows: int = 50_000):
     return run_row_scalability(
         base_rows=base_rows,
-        per_run_timeout_s=timeout_s,
         engine_factory=spark_engine_factory(spark),
     )
 

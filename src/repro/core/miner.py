@@ -52,7 +52,7 @@ from repro.hypergraph.transversal import bits, minimal_transversals
 
 
 class DeadlineReached(Exception):
-    """Raised internally when the cooperative time budget is exhausted."""
+    """Raised when the cooperative time budget is exhausted."""
 
 
 class Deadline:
@@ -62,11 +62,8 @@ class Deadline:
         self.seconds = seconds
         self._t0 = time.monotonic()
 
-    def expired(self) -> bool:
-        return self.seconds is not None and (time.monotonic() - self._t0) > self.seconds
-
     def check(self) -> None:
-        if self.expired():
+        if self.seconds is not None and time.monotonic() - self._t0 > self.seconds:
             raise DeadlineReached()
 
 
@@ -299,11 +296,11 @@ class MVDMiner:
                 processed.add(d)
                 comp = universe & ~d
                 if self.separates(comp, a, b):
+                    # d hits every known separator, so x (inside comp) is new.
                     x = self.reduce_min_sep(comp, a, b)
-                    if x not in c:
-                        c.append(x)
-                        yield self.engine.attrs(x)
-                        break
+                    c.append(x)
+                    yield self.engine.attrs(x)
+                    break
             else:
                 return
 
@@ -317,7 +314,9 @@ class MVDMiner:
         minseps_only: bool = False,
     ) -> MinerResult:
         """Run the full miner; partial results on deadline or node budget
-        (see :attr:`MinerResult.complete`)."""
+        (see :attr:`MinerResult.complete`). getFullMVDs runs on each
+        separator as MineMinSeps yields it, so a run cut by the deadline
+        keeps the full MVDs of the separators found before it."""
         t0 = time.monotonic()
         counts0 = [getattr(self, c) for c in _COUNTERS]
         info0 = self.engine.cache_info()
@@ -328,10 +327,10 @@ class MVDMiner:
         try:
             for a, b in pairs:
                 seps = res.minseps[(a, b)] = []
-                seps.extend(self.mine_min_seps(a, b))
-                if minseps_only:
-                    continue
-                for x in seps:
+                for x in self.mine_min_seps(a, b):
+                    seps.append(x)
+                    if minseps_only:
+                        continue
                     for m in self.get_full_mvds(x, (a, b)):
                         if m not in seen:
                             seen.add(m)

@@ -92,36 +92,29 @@ def enumerate_schemas(
     The trivial schema {Omega} (every MVD in the set redundant) is
     skipped. Caps mirror the paper's enumeration windows. The deadline
     is checked once per row of the graph build and once per MIS, so it
-    also bounds the quadratic build before the first schema.
+    also bounds the quadratic build before the first schema; past it,
+    :class:`~repro.core.miner.DeadlineReached` is raised after the schemas
+    already yielded.
     """
     omega = frozenset(omega)
     mvds = list(mvds)
     n = len(mvds)
     deadline = Deadline(deadline_s)
-    # Compatibility graph as bitmask adjacency; MIS of incompatibility
-    # graph = cliques of compatibility graph handled inside graphs.mis.
     incompat = [0] * n
     for i in range(n):
-        if deadline.expired():
-            return
+        deadline.check()
         for j in range(i + 1, n):
             if not compatible(mvds[i], mvds[j]):
                 incompat[i] |= 1 << j
                 incompat[j] |= 1 << i
     seen: set[tuple[frozenset, ...]] = set()
-    emitted = 0
     for q_idx in maximal_independent_sets(n, incompat):
-        if deadline.expired():
-            return
-        q = [mvds[i] for i in sorted(q_idx)]
+        deadline.check()
+        q = [mvds[i] for i in q_idx]
         bags = build_acyclic_schema(q, omega)
         if len(bags) < 2 or bags in seen:
             continue
         seen.add(bags)
-        tree = build_join_tree(bags)
-        if tree is None:  # cannot happen for Fig-9 output; defensive
-            continue
-        yield MinedSchema(bags=bags, support=tuple(q), tree=tree)
-        emitted += 1
-        if max_schemas is not None and emitted >= max_schemas:
+        yield MinedSchema(bags=bags, support=tuple(q), tree=build_join_tree(bags))
+        if max_schemas is not None and len(seen) >= max_schemas:
             return

@@ -24,7 +24,7 @@ def run_col_scalability(
     fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0),
     epsilons: tuple[float, ...] = DEFAULT_EPS,
     rows_cap: int = 2_000,
-    per_run_timeout_s: float = 15.0,
+    per_run_timeout_s: float = 20.0,
     engine_factory: EngineFactory = LocalPLIEngine,
 ) -> pd.DataFrame:
     rows = []

@@ -2,7 +2,9 @@
 
 Per threshold: run the enumeration for a bounded window and report the
 number of schemes, the maximum number of relations, and the minimum
-width / intersection width over all schemes found. The paper's claim:
+width / intersection width over all schemes found, and whether both
+mining and enumeration finished within their windows (``complete``;
+a cut enumeration keeps the schemes found before it). The paper's claim:
 larger thresholds yield more decomposed schemes (more relations,
 smaller width).
 """
@@ -12,7 +14,7 @@ import pandas as pd
 
 from repro import datasets
 from repro.core.jointree import schema_int_width, schema_width
-from repro.core.miner import MVDMiner
+from repro.core.miner import DeadlineReached, MVDMiner
 from repro.core.schema_miner import enumerate_schemas
 from repro.entropy.local_pli import LocalPLIEngine
 from repro.experiments.common import EngineFactory, write_markdown
@@ -37,14 +39,18 @@ def run_quality(
         for eps in thresholds:
             miner = MVDMiner(engine, eps, deadline_s=mine_deadline_s)
             res = miner.mine()
-            schemas = list(
-                enumerate_schemas(
-                    res.full_mvds,
-                    engine.columns,
-                    max_schemas=max_schemas,
-                    deadline_s=enum_deadline_s,
+            schemas, cut = [], False
+            try:
+                schemas.extend(
+                    enumerate_schemas(
+                        res.full_mvds,
+                        engine.columns,
+                        max_schemas=max_schemas,
+                        deadline_s=enum_deadline_s,
+                    )
                 )
-            )
+            except DeadlineReached:
+                cut = True
             rows.append(
                 {
                     "dataset": name,
@@ -60,6 +66,7 @@ def run_quality(
                         default=len(pdf.columns),
                     ),
                     "n_full_mvds": res.n_full_mvds,
+                    "complete": res.complete and not cut,
                 }
             )
     df = pd.DataFrame(rows)

@@ -10,11 +10,11 @@ Sets are int bitmasks, ordered by size, then by ascending bit positions:
 the order of sorted names under the engine's bit map.
 
 Berge's algorithm folds the sets of C left to right, so the transversals
-of ``C + [s]`` follow from those of C in one step. MineMinSeps grows C by
-appending one separator per round, so :func:`minimal_transversals`
-keeps the results of the last few families it was asked about and
-starts from the longest cached prefix of the family it is given: each
-round then costs one Berge step instead of ``len(C)``.
+of ``C + [s]`` follow from those of C in one step. The one caller,
+MineMinSeps, appends one separator per round and runs the attribute
+pairs one after another, so :func:`minimal_transversals` keeps only the
+family it was last asked about: a family that extends it costs one Berge
+step per new set, and any other family is folded from scratch.
 
 A Berge step needs no global minimization. Let T be the minimal
 transversals of C and s the new set. Every ``t`` in T that hits s stays,
@@ -29,12 +29,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-#: Families whose minimal transversals are kept for later calls. The miner
-#: extends one family per attribute pair, so a few suffice; the bound keeps
-#: the memory of a long run flat. A value depends only on its key and is
-#: never mutated, so sharing the memo across callers is safe.
-_MEMO_SIZE = 8
-_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+#: The last family asked about and its minimal transversals (immutable).
+_last: tuple[tuple[int, ...], tuple[int, ...]] = ((), (0,))
 
 
 def bits(mask: int) -> list[int]:
@@ -70,21 +66,15 @@ def minimal_transversals(sets: Sequence[int]) -> list[int]:
     The empty family has the single transversal ``0``. A family
     containing the empty set has no transversal (cannot be hit).
     Deterministic output order (by size, then ascending bits).
-    Results are memoized by family, and a call folds only the sets past
-    the longest family it has cached that is a prefix of ``sets``.
+    A call folds only the sets past the previous call's family when
+    that family is a prefix of ``sets``.
     """
+    global _last
     key = tuple(sets)
-    trs = _memo.get(key)
-    if trs is None:
-        start, trs = 0, (0,)
-        for n in sorted({len(k) for k in tuple(_memo) if len(k) < len(key)}, reverse=True):
-            hit = _memo.get(key[:n])
-            if hit is not None:
-                start, trs = n, hit
-                break
-        for s in key[start:]:
-            trs = _berge_step(trs, s)
-        _memo[key] = trs
-        while len(_memo) > _MEMO_SIZE:
-            _memo.pop(next(iter(_memo)), None)
+    done, trs = _last
+    if key[: len(done)] != done:
+        done, trs = (), (0,)
+    for s in key[len(done):]:
+        trs = _berge_step(trs, s)
+    _last = (key, trs)
     return list(trs)

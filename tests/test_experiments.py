@@ -82,6 +82,15 @@ def test_quality_micro():
     assert df["n_full_mvds"].iloc[1] >= df["n_full_mvds"].iloc[0]
 
 
+def test_quality_marks_a_cut_enumeration():
+    df = run_quality(
+        names=("abalone",), thresholds=(0.0, 0.3), rows_cap=200,
+        mine_deadline_s=3.0, enum_deadline_s=0.0,
+    )
+    assert len(df) == 2
+    assert not df["complete"].any()
+
+
 def test_fullmvds_micro():
     df = run_fullmvds(
         names=("echocardiogram",), thresholds=(0.0, 0.1), rows_cap=120,

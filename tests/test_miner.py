@@ -170,6 +170,25 @@ def test_deadline_keeps_the_separators_found_so_far():
     assert res.minseps[("A", "B")] == [first]
 
 
+def test_deadline_keeps_the_first_separators_full_mvds():
+    """getFullMVDs runs on each separator as MineMinSeps yields it, so a
+    deadline that expires right after the first separator's search keeps
+    that separator's full MVDs."""
+    rows = [(2 * c + a, 2 * c + b, c, c) for c in (0, 1) for a in (0, 1) for b in (0, 1)]
+    pdf = pd.DataFrame(rows, columns=["A", "B", "C", "D"])
+    miner = MVDMiner(LocalPLIEngine(pdf), 0.0)
+    miner.deadline = counter = _CallBudget(10**9)
+    first = next(miner.mine_min_seps("A", "B"))
+    want = miner.get_full_mvds(first, ("A", "B"))
+    assert want
+    miner = MVDMiner(LocalPLIEngine(pdf), 0.0)
+    miner.deadline = _CallBudget(10**9 - counter.left)
+    res = miner.mine([("A", "B")])
+    assert res.timed_out
+    assert res.minseps[("A", "B")] == [first]
+    assert res.full_mvds == want
+
+
 def test_full_mvd_post_filter_checks_the_deadline():
     """The DFS checks the deadline once per node; the refinement filter
     after it must check too, so a search that finds many MVDs cannot run

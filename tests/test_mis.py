@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.graphs.mis import maximal_cliques, maximal_independent_sets
+from repro.graphs.mis import maximal_independent_sets
 
 
 def brute_max_cliques(n, edges):
@@ -18,6 +18,13 @@ def brute_max_cliques(n, edges):
         if is_clique(c)
     ]
     return {c for c in cliques if not any(c < o for o in cliques)}
+
+
+def maximal_cliques(n, adj):
+    """Maximal cliques of ``adj``: the maximal independent sets of its complement."""
+    full = (1 << n) - 1
+    comp = [full & ~adj[v] & ~(1 << v) for v in range(n)]
+    return [frozenset(s) for s in maximal_independent_sets(n, comp)]
 
 
 def adj_from_edges(n, edges):
@@ -51,7 +58,7 @@ def test_path_graph():
 
 def test_mis_is_clique_of_complement():
     adj = adj_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    out = set(maximal_independent_sets(4, adj))
+    out = {frozenset(s) for s in maximal_independent_sets(4, adj)}
     assert out == {frozenset({0, 2}), frozenset({1, 3}), frozenset({0, 3})}
 
 
@@ -75,8 +82,9 @@ def test_mis_properties(seed):
     edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
     adj = adj_from_edges(n, edges)
     for s in maximal_independent_sets(n, adj):
+        assert s == sorted(set(s))
         # independent
         assert not any((a, b) in edges or (b, a) in edges for a, b in combinations(s, 2))
         # maximal: every outside vertex has a neighbour inside
-        for v in set(range(n)) - s:
+        for v in set(range(n)) - set(s):
             assert any(adj[v] >> u & 1 for u in s)

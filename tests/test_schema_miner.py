@@ -1,12 +1,14 @@
 """ASMiner: compatibility (Def 7.1), BuildAcyclicSchema (Fig 9), and the
 end-to-end schema enumeration (Fig 8)."""
+import hashlib
 from itertools import combinations
 
 import pytest
 
 import repro.core.schema_miner as schema_miner
+from repro import datasets
 from repro.core.jointree import build_join_tree
-from repro.core.miner import MVDMiner
+from repro.core.miner import DeadlineReached, MVDMiner
 from repro.core.mvd import MVD
 from repro.core.schema_miner import (
     build_acyclic_schema,
@@ -188,8 +190,8 @@ def test_empty_mvd_set_yields_nothing():
 def test_deadline_stops_enumeration():
     pdf = random_relation(30, "ABCDE", 2, 9)
     res = MVDMiner(LocalPLIEngine(pdf), 0.5).mine()
-    out = list(enumerate_schemas(res.full_mvds, "ABCDE", deadline_s=0.0))
-    assert out == []
+    with pytest.raises(DeadlineReached):
+        list(enumerate_schemas(res.full_mvds, "ABCDE", deadline_s=0.0))
 
 
 def test_deadline_bounds_the_graph_build(monkeypatch):
@@ -210,7 +212,26 @@ def test_deadline_bounds_the_graph_build(monkeypatch):
         return compatible(phi, psi)
 
     monkeypatch.setattr(schema_miner, "compatible", counting)
-    assert list(enumerate_schemas(mvds, cols, max_schemas=50, deadline_s=0.0)) == []
+    with pytest.raises(DeadlineReached):
+        list(enumerate_schemas(mvds, cols, max_schemas=50, deadline_s=0.0))
     assert calls == []
     assert list(enumerate_schemas(mvds, cols, max_schemas=1))
     assert calls
+
+
+def test_capped_nursery_schemes_are_pinned():
+    """``max_schemas`` binds on Nursery at eps = 0.05, so the capped scheme
+    set depends on the MIS order; pin the schemes and their order."""
+    engine = LocalPLIEngine(datasets.nursery())
+    out = []
+    for eps in (0.02, 0.05):
+        res = MVDMiner(engine, eps).mine()
+        assert res.complete
+        out += [
+            " / ".join("".join(sorted(b)) for b in s.bags)
+            for s in enumerate_schemas(res.full_mvds, engine.columns, max_schemas=200)
+        ]
+    assert len(out) == 88 + 200
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest() == (
+        "04842c49dcde8c3553fb51ed891c4274b1db75b28c3edb65ba30cbfb69d28c0d"
+    )

@@ -118,7 +118,7 @@ def test_matches_brute_force_random(seed):
 
 
 # ----------------------------------------------------------------------
-# the prefix-memoized fold
+# the fold from the last family
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(10))
 def test_fold_matches_from_scratch_after_every_append(seed):
@@ -199,4 +199,4 @@ def test_append_costs_one_berge_step(monkeypatch):
         del steps[:]
         minimal_transversals(family)
         assert steps == [family[-1]]
-    assert len(transversal._memo) <= transversal._MEMO_SIZE
+    assert transversal._last == (tuple(family), tuple(berge_from_scratch(family)))
