@@ -1,8 +1,10 @@
 """Generic miner entrypoint: mine eps-MVDs and acyclic schemes for one
-dataset analog and print them.
+dataset analog and print them, then the run's ``MinerResult.stats`` as
+one JSON line.
 
 Usage: spark-submit jobs/mine_mvds.py <dataset> [epsilon] [rows_cap]
 """
+import json
 import sys
 
 sys.path.insert(0, ".")
@@ -35,4 +37,5 @@ if __name__ == "__main__":
     print(f"{len(schemas)} schemas (first 20):")
     for s in schemas:
         print("  ", " / ".join("".join(sorted(b)) for b in s.bags))
+    print(json.dumps(res.stats))
     spark.stop()

@@ -24,9 +24,11 @@ Implements Figures 3-6 of the paper plus the appendix optimization
 
 Attribute sets are the engine's int bitmasks (bit i is the i-th name in
 sorted order), so ReduceMinSep's global ordering (ascending bits) and
-the block order (lowest bit first) follow sorted names. The public
-methods accept names or a mask; separators and MVDs are reported over
-names.
+the block order (lowest bit first) follow sorted names. Every method
+but :meth:`MVDMiner.mine` takes and yields masks only; ``mine`` turns
+each pair of names into a mask on the way in and each separator into
+names on the way out, and :meth:`MVDMiner.get_full_mvds` reports its
+MVDs over names.
 
 A search that explores more than :attr:`MVDMiner.max_nodes` nodes is
 counted as truncated; its "no" is not memoized by
@@ -47,7 +49,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.mvd import MVD
-from repro.entropy.base import FLOAT_TOL, Attrs, EntropyEngine
+from repro.entropy.base import FLOAT_TOL, EntropyEngine
 from repro.hypergraph.transversal import bits, minimal_transversals
 
 
@@ -124,7 +126,7 @@ class MVDMiner:
         # All threshold comparisons use eps + FLOAT_TOL (see entropy.base).
         self.eps_eff = self.eps + FLOAT_TOL
         self.deadline = Deadline(deadline_s)
-        self._all = engine.mask(engine.columns)
+        self._all = (1 << len(engine.columns)) - 1
         # (X, A|B) -> X separates A, B.
         self._sep_memo: dict[tuple[int, int], bool] = {}
         # (key, Ci, Cj) with Ci < Cj -> I(Ci;Cj|key) > eps.
@@ -175,15 +177,9 @@ class MVDMiner:
                 done.append(c)
         return _canon(done)
 
-    def get_full_mvds(
-        self,
-        key: Attrs,
-        pair: tuple[str, str] | int | None = None,
-        k: float = math.inf,
-    ) -> list[MVD]:
-        """Up to ``k`` full eps-MVDs with key ``key`` (separating ``pair``)."""
-        key = self.engine.mask(key)
-        pair = self.engine.mask(pair or 0)
+    def get_full_mvds(self, key: int, pair: int = 0, k: float = math.inf) -> list[MVD]:
+        """Up to ``k`` full eps-MVDs with key ``key`` (separating the two
+        attributes of ``pair``, if given)."""
         if pair & key:
             raise ValueError("pair attributes must not be in the key")
         root = self._closure(key, [], bits(self._all & ~key), pair)
@@ -234,9 +230,7 @@ class MVDMiner:
     # ------------------------------------------------------------------
     # separator predicate (Def. 5.5), memoized
     # ------------------------------------------------------------------
-    def separates(self, x: Attrs, a: str, b: str) -> bool:
-        x = self.engine.mask(x)
-        pair = self.engine.mask((a, b))
+    def separates(self, x: int, pair: int) -> bool:
         memo_key = (x, pair)
         hit = self._sep_memo.get(memo_key)
         if hit is not None:
@@ -257,22 +251,21 @@ class MVDMiner:
     # ------------------------------------------------------------------
     # ReduceMinSep (Fig 4)
     # ------------------------------------------------------------------
-    def reduce_min_sep(self, x: Attrs, a: str, b: str) -> int:
-        """Greedily shrink a separator to a minimal one (returned as a
-        mask), scanning the fixed global ordering: ascending bits."""
-        x = self.engine.mask(x)
+    def reduce_min_sep(self, x: int, pair: int) -> int:
+        """Greedily shrink a separator to a minimal one, scanning the
+        fixed global ordering: ascending bits."""
         for attr in bits(x):
             self.deadline.check()
-            if self.separates(x ^ attr, a, b):
+            if self.separates(x ^ attr, pair):
                 x ^= attr
         return x
 
     # ------------------------------------------------------------------
     # MineMinSeps (Fig 5)
     # ------------------------------------------------------------------
-    def mine_min_seps(self, a: str, b: str) -> Iterator[frozenset]:
-        """All minimal A,B-separators, as frozensets of names, each
-        yielded as soon as it is found, so a caller that stops at a
+    def mine_min_seps(self, pair: int) -> Iterator[int]:
+        """All minimal A,B-separators of the two attributes of ``pair``,
+        each yielded as soon as it is found, so a caller that stops at a
         deadline keeps the separators found before it.
 
         Each round takes the minimal transversals of the separators found
@@ -281,11 +274,11 @@ class MVDMiner:
         grows by appending, so :func:`minimal_transversals` folds just the
         new separator into the transversals it cached for the last round.
         """
-        universe = self._all & ~self.engine.mask((a, b))
-        if not self.separates(universe, a, b):
+        universe = self._all & ~pair
+        if not self.separates(universe, pair):
             return
-        c = [self.reduce_min_sep(universe, a, b)]
-        yield self.engine.attrs(c[0])
+        c = [self.reduce_min_sep(universe, pair)]
+        yield c[0]
         processed: set[int] = set()
         while True:
             self.transversal_rounds += 1
@@ -295,11 +288,11 @@ class MVDMiner:
                     continue
                 processed.add(d)
                 comp = universe & ~d
-                if self.separates(comp, a, b):
+                if self.separates(comp, pair):
                     # d hits every known separator, so x (inside comp) is new.
-                    x = self.reduce_min_sep(comp, a, b)
+                    x = self.reduce_min_sep(comp, pair)
                     c.append(x)
-                    yield self.engine.attrs(x)
+                    yield x
                     break
             else:
                 return
@@ -327,11 +320,12 @@ class MVDMiner:
         try:
             for a, b in pairs:
                 seps = res.minseps[(a, b)] = []
-                for x in self.mine_min_seps(a, b):
-                    seps.append(x)
+                pair = self.engine.mask((a, b))
+                for x in self.mine_min_seps(pair):
+                    seps.append(self.engine.attrs(x))
                     if minseps_only:
                         continue
-                    for m in self.get_full_mvds(x, (a, b)):
+                    for m in self.get_full_mvds(x, pair):
                         if m not in seen:
                             seen.add(m)
                             res.full_mvds.append(m)

@@ -3,8 +3,9 @@
 Every mining component (Sec 5-7 of the paper) consumes entropies only
 through :class:`EntropyEngine`: a memoized oracle for the empirical
 entropy ``H(X)`` of an attribute set ``X`` (Eq. 5), with derived helpers
-for conditional mutual information ``I(Y;Z|X)`` (Eq. 2) and the
-J-measure of MVDs (Sec. 3.2) and acyclic schemas (Eq. 6).
+for the J-measure of MVDs (Sec. 3.2), whose two-dependent case is the
+conditional mutual information ``I(Y;Z|X)`` (Eq. 2), and of acyclic
+schemas (Eq. 6).
 
 Attribute sets are int bitmasks inside the search stack: bit ``i`` is
 the i-th name of ``sorted(columns)``. The engine owns that map; every
@@ -92,35 +93,29 @@ class EntropyEngine(ABC):
 
     # -- derived measures ----------------------------------------------
     def mutual_info(self, Y: Attrs, Z: Attrs, X: Attrs = 0) -> float:
-        """Conditional mutual information I(Y;Z|X) in bits (Eq. 2).
+        """Conditional mutual information I(Y;Z|X) in bits (Eq. 2): the
+        J of ``X ->> Y|Z``.
 
         Y and Z need not be disjoint from X (``H`` is defined on unions),
         but callers in the miner always pass disjoint sets.
         """
-        X, Y, Z = self.mask(X), self.mask(Y), self.mask(Z)
-        i = (
-            self.entropy(X | Y)
-            + self.entropy(X | Z)
-            - self.entropy(X | Y | Z)
-            - self.entropy(X)
-        )
-        return max(0.0, i)
+        return self.j_parts(X, (Y, Z))
 
     def j_mvd(self, mvd: "MVD") -> float:
-        """J-measure of an MVD: sum H(X Yi) - (m-1) H(X) - H(X Y1..Ym)."""
+        """J-measure of an MVD: sum H(X Yi) - H(X Y1..Ym) - (m-1) H(X)."""
         return self.j_parts(mvd.key, mvd.deps)
 
     def j_parts(self, key: Attrs, deps: Iterable[Attrs]) -> float:
+        """J of ``key ->> deps`` (Sec. 3.2); for two dependents it is
+        I(Y;Z|key), Eq. (2), term for term."""
         key = self.mask(key)
-        deps = [self.mask(d) for d in deps]
-        total = key
+        total, j, m = key, 0.0, 0
         for d in deps:
+            d = self.mask(d)
             total |= d
-        j = (
-            sum(self.entropy(key | d) for d in deps)
-            - (len(deps) - 1) * self.entropy(key)
-            - self.entropy(total)
-        )
+            j += self.entropy(key | d)
+            m += 1
+        j = j - self.entropy(total) - (m - 1) * self.entropy(key)
         return max(0.0, j)
 
     def j_tree(self, bags: list[frozenset], edges: list[tuple[int, int]]) -> float:

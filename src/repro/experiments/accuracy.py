@@ -27,18 +27,18 @@ def run_accuracy(
     quality_cap: int = 30,
     n_buckets: int = 5,
 ) -> pd.DataFrame:
-    """Per dataset and J-bucket: #schemes and spurious-% quantiles."""
+    """Per dataset and J-bucket: #schemes and spurious-% quantiles;
+    ``complete`` is False for a dataset whose mining a deadline cut at
+    some threshold."""
     if thresholds is None:
         thresholds = [0.0, 0.05, 0.1, 0.2, 0.3, 0.5]
     rows = []
     for name in names:
         pdf = datasets.load(name, rows_cap=rows_cap, noise=0.03)
-        schemes = stratify(
-            sweep_schemes(
-                LocalPLIEngine(pdf), thresholds, max_schemes=50, mine_deadline_s=30.0
-            ),
-            quality_cap,
+        swept, complete = sweep_schemes(
+            LocalPLIEngine(pdf), thresholds, max_schemes=50, mine_deadline_s=30.0
         )
+        schemes = stratify(swept, quality_cap)
         if not schemes:
             continue
         df = spark.createDataFrame(pdf)
@@ -61,6 +61,7 @@ def run_accuracy(
                     "spurious_q25": round(grp["spurious_pct"].quantile(0.25), 2),
                     "spurious_median": round(grp["spurious_pct"].median(), 2),
                     "spurious_q75": round(grp["spurious_pct"].quantile(0.75), 2),
+                    "complete": complete,
                 }
             )
     out = pd.DataFrame(rows)

@@ -40,18 +40,21 @@ def sweep_schemes(
     *,
     max_schemes: int,
     mine_deadline_s: float,
-) -> list[tuple[MinedSchema, float, float]]:
+) -> tuple[list[tuple[MinedSchema, float, float]], bool]:
     """The distinct schemes ASMiner finds over the threshold sweep (at
     most ``max_schemes`` per threshold), as (schema, J, first threshold
-    that found it), by ascending J."""
+    that found it), by ascending J; and whether mining completed at
+    every threshold (see :attr:`MinerResult.complete`)."""
     seen: dict[tuple[frozenset, ...], tuple[MinedSchema, float, float]] = {}
+    complete = True
     for eps in thresholds:
         res = MVDMiner(engine, eps, deadline_s=mine_deadline_s).mine()
+        complete &= res.complete
         for schema in enumerate_schemas(res.full_mvds, engine.columns, max_schemas=max_schemes):
             if schema.bags not in seen:
                 j = engine.j_tree(list(schema.tree.bags), list(schema.tree.edges))
                 seen[schema.bags] = (schema, j, eps)
-    return sorted(seen.values(), key=lambda s: s[1])
+    return sorted(seen.values(), key=lambda s: s[1]), complete
 
 
 def stratify(items: Sequence, cap: int) -> list:

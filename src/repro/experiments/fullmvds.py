@@ -47,7 +47,7 @@ def run_fullmvds(
             try:
                 for (a, b), seps in minseps.items():
                     for x in seps:
-                        found.update(phase2.get_full_mvds(x, (a, b)))
+                        found.update(phase2.get_full_mvds(engine.mask(x), engine.mask((a, b))))
             except DeadlineReached:
                 pass
             dt = time.monotonic() - t0

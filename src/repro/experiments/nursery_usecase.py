@@ -25,7 +25,8 @@ def run_nursery(
     max_schemas_per_eps: int = 200,
     quality_cap: int = 40,
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Returns (all-schemes table with S and E, pareto-front table)."""
+    """Returns (all-schemes table with S and E, pareto-front table);
+    ``complete`` is False if a deadline cut mining at some threshold."""
     if thresholds is None:
         # Most distinct schemes appear at small thresholds (the class
         # noise level); the grid is denser there, like the paper's sweep.
@@ -34,15 +35,12 @@ def run_nursery(
     df = spark.createDataFrame(pdf)
     df.persist()
     n_rows = df.count()
+    swept, complete = sweep_schemes(
+        LocalPLIEngine(pdf), thresholds, max_schemes=max_schemas_per_eps,
+        mine_deadline_s=60.0,
+    )
     # Quality for up to quality_cap schemes, stratified
     # across the J range so the S-vs-E cloud spans like Fig 11.
-    swept = stratify(
-        sweep_schemes(
-            LocalPLIEngine(pdf), thresholds, max_schemes=max_schemas_per_eps,
-            mine_deadline_s=60.0,
-        ),
-        quality_cap,
-    )
     schemes = pd.DataFrame(
         {
             "schema": " / ".join("".join(sorted(b)) for b in s.bags),
@@ -51,8 +49,9 @@ def run_nursery(
             "found_at_eps": eps,
             "savings_pct": cell_savings_pct(df, s.bags, n_rows),
             "spurious_pct": spurious_pct(df, s.bags, n_rows),
+            "complete": complete,
         }
-        for s, j, eps in swept
+        for s, j, eps in stratify(swept, quality_cap)
     ).round({"savings_pct": 2, "spurious_pct": 2})
     df.unpersist()
 

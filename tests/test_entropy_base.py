@@ -142,11 +142,15 @@ def test_j_schema_requires_acyclic():
         eng.j_schema([frozenset("AB"), frozenset("BC"), frozenset("CA")])
 
 
-def test_j_parts_two_deps_equals_mutual_info():
-    eng = engine_of(random_relation(50, "ABCD", 3, 5))
-    j = eng.j_parts(frozenset("A"), [frozenset("B"), frozenset("CD")])
-    i = eng.mutual_info("B", "CD", "A")
-    assert j == pytest.approx(i, abs=1e-9)
+def test_mutual_info_is_eq2_exactly():
+    # I(Y;Z|X) = H(XY) + H(XZ) - H(XYZ) - H(X), Eq. (2), bit for bit.
+    eng = engine_of(random_relation(50, "ABCDE", 3, 5))
+    h = eng.entropy
+    for y, z, x in [("B", "CD", "A"), ("B", "CD", ""), ("A", "E", "BD"), ("CE", "D", "AB")]:
+        X, Y, Z = frozenset(x), frozenset(y), frozenset(z)
+        want = max(0.0, h(X | Y) + h(X | Z) - h(X | Y | Z) - h(X))
+        assert eng.mutual_info(Y, Z, X) == want
+        assert eng.mutual_info(eng.mask(Y), eng.mask(Z), eng.mask(X)) == want
 
 
 # ----------------------------------------------------------------------

@@ -103,14 +103,21 @@ def test_fullmvds_micro():
 
 
 def test_nursery_mining_micro():
-    schemes = sweep_schemes(
+    schemes, complete = sweep_schemes(
         LocalPLIEngine(datasets.nursery()), [0.3], max_schemes=5, mine_deadline_s=10.0
     )
-    assert len(schemes) >= 1
+    assert complete and len(schemes) >= 1
     for schema, j, eps in schemes:
         assert schema.n_relations == len(schema.bags) >= 2
         assert j >= 0.0 and eps == 0.3
     assert [j for _, j, _ in schemes] == sorted(j for _, j, _ in schemes)
+
+
+def test_sweep_reports_a_cut_mining_run():
+    schemes, complete = sweep_schemes(
+        LocalPLIEngine(datasets.nursery()), [0.0, 0.3], max_schemes=5, mine_deadline_s=0.0
+    )
+    assert complete is False and schemes == []
 
 
 def test_stratify_spans_the_sequence():
@@ -123,7 +130,8 @@ def test_nursery_full_micro(spark):
         spark, thresholds=[0.3], max_schemas_per_eps=5, quality_cap=3
     )
     assert len(schemes) >= 1
-    assert {"savings_pct", "spurious_pct"} <= set(schemes.columns)
+    assert {"savings_pct", "spurious_pct", "complete"} <= set(schemes.columns)
+    assert schemes["complete"].all()
     assert len(pareto) >= 1
     # pareto is a subset of schemes
     assert set(pareto["schema"]) <= set(schemes["schema"])
@@ -134,7 +142,7 @@ def test_accuracy_micro(spark):
         spark, names=("bridges",), thresholds=[0.0, 0.2], rows_cap=120,
         quality_cap=6, n_buckets=3,
     )
-    assert {"J_bucket", "spurious_median"} <= set(df.columns)
+    assert {"J_bucket", "spurious_median", "complete"} <= set(df.columns)
 
 
 def test_to_markdown_roundtrip():

@@ -1,4 +1,5 @@
 """Smoke tests: every spark-submit entrypoint's run() works at micro scale."""
+import json
 import sys
 
 import pytest
@@ -17,6 +18,9 @@ def test_mine_mvds_job(spark):
     res, schemas = mine_mvds.run(spark, "sg_bioentry", 0.1, 150)
     assert res.n_full_mvds >= 0
     assert isinstance(schemas, list)
+    # The job prints the stats as one JSON line.
+    assert json.loads(json.dumps(res.stats)) == res.stats
+    assert res.stats["nodes_explored"] >= 0
 
 
 def test_table2_job(spark, monkeypatch):

@@ -39,7 +39,8 @@ def test_separates_matches_brute(seed, eps):
         for r in range(len(others) + 1):
             for xs in combinations(others, r):
                 x = frozenset(xs)
-                assert miner.separates(x, a, b) == brute_separates(e2, x, a, b, eps), (
+                got = miner.separates(e1.mask(x), e1.mask((a, b)))
+                assert got == brute_separates(e2, x, a, b, eps), (
                     f"x={sorted(x)} pair=({a},{b}) eps={eps}"
                 )
 
@@ -51,7 +52,7 @@ def test_min_seps_match_brute(seed, eps):
     e1, e2 = engines(pdf)
     miner = MVDMiner(e1, eps)
     for a, b in combinations("ABCDE", 2):
-        got = set(miner.mine_min_seps(a, b))
+        got = set(map(e1.attrs, miner.mine_min_seps(e1.mask((a, b)))))
         want = set(brute_min_seps(e2, a, b, eps))
         assert got == want, f"pair=({a},{b}) eps={eps}"
 
@@ -65,7 +66,7 @@ def test_full_mvds_match_brute(seed, eps):
     for key in [frozenset(), frozenset("A"), frozenset("AB"), frozenset("CD")]:
         rest = sorted(set("ABCDE") - key)
         a, b = rest[0], rest[1]
-        got = set(miner.get_full_mvds(key, (a, b)))
+        got = set(miner.get_full_mvds(e1.mask(key), e1.mask((a, b))))
         want = set(brute_full_mvds(e2, key, eps, (a, b)))
         assert got == want, f"key={sorted(key)} eps={eps}"
 
@@ -94,7 +95,7 @@ def test_sec52_full_mvd_multiplicity():
     MVDs with key X (the failure of Beeri uniqueness for eps > 0)."""
     eng = LocalPLIEngine(sec52_relation())
     miner = MVDMiner(eng, 1.0)
-    got = set(miner.get_full_mvds(frozenset("X")))
+    got = set(miner.get_full_mvds(eng.mask("X")))
     assert got == {
         MVD.of("X", ["AB", "C"]),
         MVD.of("X", ["AC", "B"]),
@@ -107,21 +108,22 @@ def test_sec52_exact_separators():
     # {C} does: given C both A and B are constant.
     eng = LocalPLIEngine(sec52_relation())
     miner = MVDMiner(eng, 0.0)
-    assert list(miner.mine_min_seps("A", "B")) == [frozenset("C")]
-    assert not miner.separates(frozenset(), "A", "B")
-    assert not miner.separates(frozenset("X"), "A", "B")
+    ab = eng.mask("AB")
+    assert list(miner.mine_min_seps(ab)) == [eng.mask("C")]
+    assert not miner.separates(0, ab)
+    assert not miner.separates(eng.mask("X"), ab)
 
 
 def test_k_limits_results():
     eng = LocalPLIEngine(sec52_relation())
     miner = MVDMiner(eng, 1.0)
-    assert len(miner.get_full_mvds(frozenset("X"), k=1)) == 1
+    assert len(miner.get_full_mvds(eng.mask("X"), k=1)) == 1
 
 
 def test_pair_in_key_rejected():
     miner = MVDMiner(LocalPLIEngine(random_relation(10, "ABC", 2, 0)), 0.0)
     with pytest.raises(ValueError):
-        miner.get_full_mvds(frozenset("A"), ("A", "B"))
+        miner.get_full_mvds(miner.engine.mask("A"), miner.engine.mask("AB"))
 
 
 def test_two_column_relation():
@@ -162,12 +164,12 @@ def test_deadline_keeps_the_separators_found_so_far():
 
     miner = MVDMiner(LocalPLIEngine(pdf), 0.0)
     miner.deadline = counter = _CallBudget(10**9)
-    first = next(miner.mine_min_seps("A", "B"))
+    first = next(miner.mine_min_seps(miner.engine.mask("AB")))
     miner = MVDMiner(LocalPLIEngine(pdf), 0.0)
     miner.deadline = _CallBudget(10**9 - counter.left)
     res = miner.mine([("A", "B")])
     assert res.timed_out and not res.complete
-    assert res.minseps[("A", "B")] == [first]
+    assert res.minseps[("A", "B")] == [miner.engine.attrs(first)]
 
 
 def test_deadline_keeps_the_first_separators_full_mvds():
@@ -178,14 +180,15 @@ def test_deadline_keeps_the_first_separators_full_mvds():
     pdf = pd.DataFrame(rows, columns=["A", "B", "C", "D"])
     miner = MVDMiner(LocalPLIEngine(pdf), 0.0)
     miner.deadline = counter = _CallBudget(10**9)
-    first = next(miner.mine_min_seps("A", "B"))
-    want = miner.get_full_mvds(first, ("A", "B"))
+    ab = miner.engine.mask("AB")
+    first = next(miner.mine_min_seps(ab))
+    want = miner.get_full_mvds(first, ab)
     assert want
     miner = MVDMiner(LocalPLIEngine(pdf), 0.0)
     miner.deadline = _CallBudget(10**9 - counter.left)
     res = miner.mine([("A", "B")])
     assert res.timed_out
-    assert res.minseps[("A", "B")] == [first]
+    assert res.minseps[("A", "B")] == [miner.engine.attrs(first)]
     assert res.full_mvds == want
 
 
@@ -195,12 +198,12 @@ def test_full_mvd_post_filter_checks_the_deadline():
     past the deadline there."""
     pdf = random_relation(40, "ABCDE", 2, 0)
     miner = MVDMiner(LocalPLIEngine(pdf), 0.3)
-    assert miner.get_full_mvds(frozenset())
+    assert miner.get_full_mvds(0)
     nodes = miner.nodes_explored
     miner = MVDMiner(LocalPLIEngine(pdf), 0.3)
     miner.deadline = _CallBudget(nodes)  # enough for the DFS alone
     with pytest.raises(DeadlineReached):
-        miner.get_full_mvds(frozenset())
+        miner.get_full_mvds(0)
     assert miner.nodes_explored == nodes
 
 
@@ -211,7 +214,7 @@ def test_large_eps_trivial_separator():
     eps = math.log2(len(pdf)) + 1
     miner = MVDMiner(LocalPLIEngine(pdf), eps)
     for a, b in combinations("ABC", 2):
-        assert list(miner.mine_min_seps(a, b)) == [frozenset()]
+        assert list(miner.mine_min_seps(miner.engine.mask((a, b)))) == [0]
 
 
 def test_results_are_canonical_and_deduped():
@@ -365,8 +368,8 @@ def test_each_dependence_test_reaches_the_engine_once():
         assert res.stats["dependence_tests"] == len(seen) > 0
         for key in [frozenset(), frozenset("A"), frozenset("BC")]:
             rest = sorted(set("ABCDEF") - key)
-            miner.get_full_mvds(key)
-            miner.get_full_mvds(key, (rest[0], rest[-1]))
+            miner.get_full_mvds(engine.mask(key))
+            miner.get_full_mvds(engine.mask(key), engine.mask((rest[0], rest[-1])))
         assert max(seen.values()) == 1
         assert miner.dependence_tests == len(seen)
         assert miner.dependence_memo_hits > 0
@@ -397,8 +400,8 @@ def test_truncated_search_is_reported_and_not_memoized():
             for xs in combinations(others, r):
                 x = frozenset(xs)
                 cut = miner.truncated_searches
-                ans = miner.separates(x, a, b)
                 memo_key = (miner.engine.mask(x), miner.engine.mask((a, b)))
+                ans = miner.separates(*memo_key)
                 if miner.truncated_searches > cut and not ans:
                     assert memo_key not in miner._sep_memo
                     wrong_no += brute_separates(ref, x, a, b, 0.3)
@@ -464,9 +467,10 @@ def test_reduce_min_sep_drops_the_lowest_bits_first():
     rows = [(2 * c + a, 2 * c + b, c, c) for c in (0, 1) for a in (0, 1) for b in (0, 1)]
     pdf = pd.DataFrame(rows, columns=["A", "B", "C", "D"])
     miner = MVDMiner(LocalPLIEngine(pdf[["D", "B", "C", "A"]]), 0.0)
+    m, ab = miner.engine.mask, miner.engine.mask("AB")
     # Ascending bits is sorted names: C is tried (and dropped) before D.
-    assert miner.reduce_min_sep(frozenset("CD"), "A", "B") == miner.engine.mask("D")
-    assert list(miner.mine_min_seps("A", "B")) == [frozenset("D"), frozenset("C")]
+    assert miner.reduce_min_sep(m("CD"), ab) == m("D")
+    assert list(miner.mine_min_seps(ab)) == [m("D"), m("C")]
 
 
 @pytest.mark.parametrize("seed", range(3))
