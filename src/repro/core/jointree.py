@@ -34,13 +34,6 @@ class JoinTree:
     bags: tuple[frozenset, ...]
     edges: tuple[tuple[int, int], ...]
 
-    @property
-    def attributes(self) -> frozenset:
-        return frozenset().union(*self.bags)
-
-    def separators(self) -> list[frozenset]:
-        return [self.bags[u] & self.bags[v] for (u, v) in self.edges]
-
 
 def build_join_tree(bags: Iterable[Iterable[str]]) -> JoinTree | None:
     """Join tree of an acyclic schema, or None if the schema is cyclic.

@@ -40,25 +40,9 @@ class MVD:
         return MVD(key, cdeps)
 
     # -- structure ------------------------------------------------------
-    @property
-    def attributes(self) -> frozenset:
-        return self.key.union(*self.deps)
-
-    @property
-    def n_deps(self) -> int:
-        return len(self.deps)
-
-    def dep_of(self, attr: str) -> frozenset | None:
-        """The dependent containing ``attr``, or None (e.g. attr in key)."""
-        for d in self.deps:
-            if attr in d:
-                return d
-        return None
-
     def separates(self, a: str, b: str) -> bool:
         """True iff a and b occur in two distinct dependents (Def. 5.5)."""
-        da, db = self.dep_of(a), self.dep_of(b)
-        return da is not None and db is not None and da is not db
+        return any(a in d and b not in d for d in self.deps) and any(b in d for d in self.deps)
 
     # -- refinement partial order (Sec. 5.2) ----------------------------
     def refines(self, other: "MVD") -> bool:

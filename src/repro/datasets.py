@@ -241,7 +241,7 @@ def take_cols(pdf: pd.DataFrame, frac: float) -> pd.DataFrame:
     return pdf[list(pdf.columns[:k])]
 
 
-def sample_rows(pdf: pd.DataFrame, frac: float, seed: int = 0) -> pd.DataFrame:
-    """A ``frac`` row sample (the paper's row-scalability cut)."""
+def sample_rows(pdf: pd.DataFrame, frac: float) -> pd.DataFrame:
+    """A ``frac`` row sample (the paper's row-scalability cut), seeded."""
     n = max(1, int(round(frac * len(pdf))))
-    return pdf.sample(n=n, random_state=seed).reset_index(drop=True)
+    return pdf.sample(n=n, random_state=1).reset_index(drop=True)

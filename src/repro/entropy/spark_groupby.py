@@ -11,8 +11,6 @@ keeps repeated queries free.
 """
 from __future__ import annotations
 
-from typing import Iterable
-
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -22,11 +20,11 @@ from repro.entropy.base import EntropyEngine
 class SparkGroupByEntropyEngine(EntropyEngine):
     """Entropy oracle backed by ``groupBy``/``agg`` jobs on a cached DataFrame."""
 
-    def __init__(self, df: DataFrame, columns: Iterable[str] | None = None):
-        cols = tuple(columns) if columns is not None else tuple(df.columns)
-        self.df = df.select(*cols)
+    def __init__(self, df: DataFrame):
+        # Its own frame, so close() unpersists this one and not the caller's.
+        self.df = df.select(*df.columns)
         self.df.persist()
-        super().__init__(cols, self.df.count())
+        super().__init__(tuple(df.columns), self.df.count())
 
     def _entropy(self, mask: int) -> float:
         # Stable projection order so plans (and shuffle keys) are deterministic.

@@ -15,28 +15,25 @@ from repro.core.quality import spurious_pct
 from repro.entropy.local_pli import LocalPLIEngine
 from repro.experiments.common import stratify, sweep_schemes, write_markdown
 
-DEFAULT_DATASETS = ("abalone", "breast_cancer", "echocardiogram", "bridges")
+DATASETS = ("abalone", "breast_cancer", "echocardiogram", "bridges")
+THRESHOLDS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5)
+N_BUCKETS = 5
 
 
 def run_accuracy(
     spark,
     *,
-    names: tuple[str, ...] = DEFAULT_DATASETS,
-    thresholds: list[float] | None = None,
     rows_cap: int = 800,
     quality_cap: int = 30,
-    n_buckets: int = 5,
 ) -> pd.DataFrame:
     """Per dataset and J-bucket: #schemes and spurious-% quantiles;
-    ``complete`` is False for a dataset whose mining a deadline cut at
-    some threshold."""
-    if thresholds is None:
-        thresholds = [0.0, 0.05, 0.1, 0.2, 0.3, 0.5]
+    ``complete`` is False for a dataset whose sweep was partial at some
+    threshold (see :func:`sweep_schemes`)."""
     rows = []
-    for name in names:
+    for name in DATASETS:
         pdf = datasets.load(name, rows_cap=rows_cap, noise=0.03)
         swept, complete = sweep_schemes(
-            LocalPLIEngine(pdf), thresholds, max_schemes=50, mine_deadline_s=30.0
+            LocalPLIEngine(pdf), THRESHOLDS, max_schemes=50, mine_deadline_s=30.0
         )
         schemes = stratify(swept, quality_cap)
         if not schemes:
@@ -51,12 +48,12 @@ def run_accuracy(
         df.unpersist()
         m = pd.DataFrame(measured)
         j_max = max(m["J"].max(), 1e-9)
-        m["bucket"] = np.minimum((m["J"] / j_max * n_buckets).astype(int), n_buckets - 1)
+        m["bucket"] = np.minimum((m["J"] / j_max * N_BUCKETS).astype(int), N_BUCKETS - 1)
         for b, grp in m.groupby("bucket"):
             rows.append(
                 {
                     "dataset": name,
-                    "J_bucket": f"[{b * j_max / n_buckets:.3f}, {(b + 1) * j_max / n_buckets:.3f})",
+                    "J_bucket": f"[{b * j_max / N_BUCKETS:.3f}, {(b + 1) * j_max / N_BUCKETS:.3f})",
                     "n_schemes": len(grp),
                     "spurious_q25": round(grp["spurious_pct"].quantile(0.25), 2),
                     "spurious_median": round(grp["spurious_pct"].median(), 2),

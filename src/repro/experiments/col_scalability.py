@@ -3,7 +3,9 @@
 All rows, 10%-100% of the columns, eps in {0, 0.01, 0.1}, a fixed time
 limit per run; report the number of minimal separators discovered
 within the limit (the paper's wide datasets, e.g. Voter State at 45
-columns, time out while still reporting separators found).
+columns, time out while still reporting separators found). ``TL``
+marks a deadline only; ``complete`` is False when a deadline or the
+node budget cut the run (see :attr:`MinerResult.complete`).
 """
 from __future__ import annotations
 
@@ -14,25 +16,23 @@ from repro.core.miner import MVDMiner
 from repro.entropy.local_pli import LocalPLIEngine
 from repro.experiments.common import EngineFactory, fmt_runtime, write_markdown
 
-DEFAULT_DATASETS = ("voter_state", "reflns")
-DEFAULT_EPS = (0.0, 0.01, 0.1)
+DATASETS = ("voter_state", "reflns")
+FRACTIONS = (0.25, 0.5, 0.75, 1.0)
+EPSILONS = (0.0, 0.01, 0.1)
 
 
 def run_col_scalability(
     *,
-    names: tuple[str, ...] = DEFAULT_DATASETS,
-    fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0),
-    epsilons: tuple[float, ...] = DEFAULT_EPS,
     rows_cap: int = 2_000,
     per_run_timeout_s: float = 20.0,
     engine_factory: EngineFactory = LocalPLIEngine,
 ) -> pd.DataFrame:
     rows = []
-    for name in names:
+    for name in DATASETS:
         full = datasets.load(name, rows_cap=rows_cap)
-        for frac in fractions:
+        for frac in FRACTIONS:
             pdf = datasets.take_cols(full, frac)
-            for eps in epsilons:
+            for eps in EPSILONS:
                 engine = engine_factory(pdf)
                 miner = MVDMiner(engine, eps, deadline_s=per_run_timeout_s)
                 res = miner.mine(minseps_only=True)
@@ -44,6 +44,7 @@ def run_col_scalability(
                         "eps": eps,
                         "runtime_s": fmt_runtime(res.elapsed, res.timed_out),
                         "n_minseps": res.n_minseps,
+                        "complete": res.complete,
                     }
                 )
     df = pd.DataFrame(rows)

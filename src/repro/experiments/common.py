@@ -43,14 +43,17 @@ def sweep_schemes(
 ) -> tuple[list[tuple[MinedSchema, float, float]], bool]:
     """The distinct schemes ASMiner finds over the threshold sweep (at
     most ``max_schemes`` per threshold), as (schema, J, first threshold
-    that found it), by ascending J; and whether mining completed at
-    every threshold (see :attr:`MinerResult.complete`)."""
+    that found it), by ascending J; and whether every threshold is
+    complete: mining completed (see :attr:`MinerResult.complete`) and
+    ASMiner stopped short of ``max_schemes``. An enumeration that ends at
+    exactly the cap reads as partial."""
     seen: dict[tuple[frozenset, ...], tuple[MinedSchema, float, float]] = {}
     complete = True
     for eps in thresholds:
         res = MVDMiner(engine, eps, deadline_s=mine_deadline_s).mine()
-        complete &= res.complete
-        for schema in enumerate_schemas(res.full_mvds, engine.columns, max_schemas=max_schemes):
+        found = list(enumerate_schemas(res.full_mvds, engine.columns, max_schemas=max_schemes))
+        complete &= res.complete and len(found) < max_schemes
+        for schema in found:
             if schema.bags not in seen:
                 j = engine.j_tree(list(schema.tree.bags), list(schema.tree.edges))
                 seen[schema.bags] = (schema, j, eps)

@@ -5,7 +5,9 @@ Feature) with all columns on 10%-100% row samples for eps in
 {0, 0.01, 0.1}, and finds runtime mostly linear in rows. We reproduce
 the sweep on the scaled analogs; runtime includes the engine build (the
 data scan is the row-dependent part, exactly as in the paper's PLI
-construction).
+construction). ``TL`` marks a deadline only; ``complete`` is False when
+a deadline or the node budget cut the run (see
+:attr:`MinerResult.complete`).
 """
 from __future__ import annotations
 
@@ -18,26 +20,24 @@ from repro.core.miner import MVDMiner
 from repro.entropy.local_pli import LocalPLIEngine
 from repro.experiments.common import EngineFactory, fmt_runtime, write_markdown
 
-DEFAULT_DATASETS = ("image", "four_square", "ditag_feature")
-DEFAULT_EPS = (0.0, 0.01, 0.1)
+DATASETS = ("image", "four_square", "ditag_feature")
+EPSILONS = (0.0, 0.01, 0.1)
 
 
 def run_row_scalability(
     *,
-    names: tuple[str, ...] = DEFAULT_DATASETS,
     fractions: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 1.0),
-    epsilons: tuple[float, ...] = DEFAULT_EPS,
     base_rows: int = 50_000,
     per_run_timeout_s: float = 60.0,
     engine_factory: EngineFactory = LocalPLIEngine,
 ) -> pd.DataFrame:
     """Minimal-separator mining time per (dataset, fraction, eps)."""
     rows = []
-    for name in names:
+    for name in DATASETS:
         full = datasets.load(name, rows_cap=base_rows)
         for frac in fractions:
-            pdf = datasets.sample_rows(full, frac, seed=1)
-            for eps in epsilons:
+            pdf = datasets.sample_rows(full, frac)
+            for eps in EPSILONS:
                 t0 = time.monotonic()
                 engine = engine_factory(pdf)
                 build_s = time.monotonic() - t0
@@ -51,6 +51,7 @@ def run_row_scalability(
                         "eps": eps,
                         "runtime_s": fmt_runtime(build_s + res.elapsed, res.timed_out),
                         "n_minseps": res.n_minseps,
+                        "complete": res.complete,
                     }
                 )
     df = pd.DataFrame(rows)

@@ -20,14 +20,11 @@ def run_table2(
     *,
     rows_cap: int = 2_000,
     timeout_s: float = 20.0,
-    names: list[str] | None = None,
     engine_factory: EngineFactory = LocalPLIEngine,
 ) -> pd.DataFrame:
     """One row per dataset: ours vs the paper's Table 2."""
     rows = []
     for s in datasets.TABLE2:
-        if names is not None and s.name not in names:
-            continue
         pdf = datasets.load(s.name, rows_cap=rows_cap)
         engine = engine_factory(pdf)
         miner = MVDMiner(engine, 0.0, deadline_s=timeout_s)

@@ -96,7 +96,7 @@ def support_mvds(tree: JoinTree) -> list[MVD]:
                     seen.add(w)
                     stack.append(w)
         side_u = frozenset().union(*(tree.bags[i] for i in seen)) - key
-        side_v = tree.attributes - key - side_u
+        side_v = frozenset().union(*tree.bags) - key - side_u
         if side_u and side_v:
             out.append(MVD.of(key, [side_u, side_v]))
     return out

@@ -115,9 +115,9 @@ def test_take_cols():
 
 def test_sample_rows():
     pdf = datasets.load("letter", rows_cap=500)
-    half = datasets.sample_rows(pdf, 0.5, seed=3)
+    half = datasets.sample_rows(pdf, 0.5)
     assert len(half) == round(0.5 * len(pdf))
-    pd.testing.assert_frame_equal(half, datasets.sample_rows(pdf, 0.5, seed=3))
+    pd.testing.assert_frame_equal(half, datasets.sample_rows(pdf, 0.5))
 
 
 def test_unknown_dataset_raises():

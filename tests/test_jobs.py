@@ -34,14 +34,13 @@ def test_table2_job(spark, monkeypatch):
     assert len(df) == 1
 
 
-def test_quality_job(spark):
+def test_quality_job(spark, monkeypatch):
     from jobs import exp_quality
-    from repro.experiments.quality import run_quality
+    from repro.experiments import quality
 
-    df = run_quality(
-        names=("abalone",), thresholds=(0.1,), rows_cap=100,
-        mine_deadline_s=2.0, enum_deadline_s=1.0,
-    )
+    monkeypatch.setattr(quality, "DATASETS", ("abalone",))
+    monkeypatch.setattr(quality, "THRESHOLDS", (0.1,))
+    df = quality.run_quality(rows_cap=100, mine_deadline_s=2.0, enum_deadline_s=1.0)
     assert len(df) == 1
     assert callable(exp_quality.run)
 

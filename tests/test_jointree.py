@@ -99,7 +99,7 @@ def test_paper_schema_is_acyclic():
     t = build_join_tree(fs("ABD", "ACD", "BDE", "AF"))
     assert t is not None
     assert len(t.edges) == 3
-    seps = {frozenset(s) for s in t.separators()}
+    seps = {t.bags[u] & t.bags[v] for u, v in t.edges}
     assert seps == {frozenset("AD"), frozenset("BD"), frozenset("A")}
 
 
@@ -127,13 +127,13 @@ def test_cycle_of_four_is_cyclic():
 def test_path_schema_acyclic():
     t = build_join_tree(fs("AB", "BC", "CD"))
     assert t is not None
-    assert {frozenset(s) for s in t.separators()} == {frozenset("B"), frozenset("C")}
+    assert {t.bags[u] & t.bags[v] for u, v in t.edges} == {frozenset("B"), frozenset("C")}
 
 
 def test_star_schema_acyclic():
     t = build_join_tree(fs("XA", "XB", "XC"))
     assert t is not None
-    assert all(s == frozenset("X") for s in t.separators())
+    assert all(t.bags[u] & t.bags[v] == frozenset("X") for u, v in t.edges)
     sup = support_mvds(t)
     assert all(m.key == frozenset("X") for m in sup)
 
@@ -141,7 +141,7 @@ def test_star_schema_acyclic():
 def test_disconnected_components_connected_by_empty_separator():
     t = build_join_tree(fs("AB", "CD"))
     assert t is not None
-    assert t.separators() == [frozenset()]
+    assert [t.bags[u] & t.bags[v] for u, v in t.edges] == [frozenset()]
     assert support_mvds(t) == [MVD.of("", ["AB", "CD"])]
 
 

@@ -92,7 +92,7 @@ def test_lemma54_join_bounds(seed):
     phi = MVD.of("X", ["AB", "CD"])
     psi = MVD.of("X", ["AC", "BD"])
     j_join = eng.j_mvd(mvd_join(phi, psi))
-    m, k = phi.n_deps, psi.n_deps
+    m, k = len(phi.deps), len(psi.deps)
     assert j_join <= eng.j_mvd(phi) + m * eng.j_mvd(psi) + 1e-9
     assert j_join <= k * eng.j_mvd(phi) + eng.j_mvd(psi) + 1e-9
     assert j_join >= max(eng.j_mvd(phi), eng.j_mvd(psi)) - 1e-9

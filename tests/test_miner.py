@@ -222,7 +222,7 @@ def test_results_are_canonical_and_deduped():
     res = MVDMiner(LocalPLIEngine(pdf), 0.3).mine()
     assert len(set(res.full_mvds)) == len(res.full_mvds)
     for m in res.full_mvds:
-        assert m.attributes == frozenset("ABCD")
+        assert m.key.union(*m.deps) == frozenset("ABCD")
 
 
 def test_minseps_only_skips_phase2():

@@ -31,25 +31,12 @@ def test_rejects_overlapping_dependents():
         MVD.of("A", ["BC", "CD"])
 
 
-def test_attributes_and_ndeps():
-    m = MVD.of("X", ["AB", "C", "D"])
-    assert m.attributes == frozenset("XABCD")
-    assert m.n_deps == 3
-
-
-def test_dep_of():
-    m = MVD.of("X", ["AB", "C"])
-    assert m.dep_of("A") == frozenset("AB")
-    assert m.dep_of("C") == frozenset("C")
-    assert m.dep_of("X") is None
-    assert m.dep_of("Z") is None
-
-
 def test_separates():
     m = MVD.of("X", ["AB", "C"])
     assert m.separates("A", "C")
     assert not m.separates("A", "B")
     assert not m.separates("X", "C")  # key attr is in no dependent
+    assert not m.separates("A", "Z") and not m.separates("Z", "A")  # nor is Z
 
 
 def test_refines_basic():

@@ -141,7 +141,7 @@ def test_theorem74_support_subset_of_q(seed):
     res = MVDMiner(LocalPLIEngine(pdf), 0.4).mine()
     for schema in enumerate_schemas(res.full_mvds, "ABCDE", max_schemas=5):
         keys = {m.key for m in schema.support}
-        for sep in schema.tree.separators():
+        for sep in (schema.tree.bags[u] & schema.tree.bags[v] for u, v in schema.tree.edges):
             assert sep in keys or any(sep <= k for k in keys)
 
 
