@@ -90,13 +90,13 @@ def brute_full_mvds(
     for parts in set_partitions(rest):
         if len(parts) < 2:
             continue
-        mvd = MVD.of(key, parts)
-        if pair is not None and not mvd.separates(*pair):
+        mvd = MVD.of(engine.mask(key), map(engine.mask, parts), engine.names)
+        if pair is not None and not mvd.separates(engine.mask(pair)):
             continue
         if engine.j_mvd(mvd) <= eps + FLOAT_TOL:
             sat.append(mvd)
     return sorted(
-        (m for m in sat if not any(o.strictly_refines(m) for o in sat)),
+        (m for m in sat if not any(o != m and o.refines(m) for o in sat)),
         key=str,
     )
 

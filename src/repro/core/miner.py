@@ -25,10 +25,9 @@ Implements Figures 3-6 of the paper plus the appendix optimization
 Attribute sets are the engine's int bitmasks (bit i is the i-th name in
 sorted order), so ReduceMinSep's global ordering (ascending bits) and
 the block order (lowest bit first) follow sorted names. Every method
-but :meth:`MVDMiner.mine` takes and yields masks only; ``mine`` turns
-each pair of names into a mask on the way in and each separator into
-names on the way out, and :meth:`MVDMiner.get_full_mvds` reports its
-MVDs over names.
+but :meth:`MVDMiner.mine` takes and yields masks only, MVDs included;
+``mine`` turns each pair of names into a mask on the way in and each
+separator into names on the way out.
 
 A search that explores more than :attr:`MVDMiner.max_nodes` nodes is
 counted as truncated; its "no" is not memoized by
@@ -46,9 +45,9 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from repro.core.mvd import MVD
+from repro.core.mvd import MVD, canon, refines
 from repro.entropy.base import FLOAT_TOL, EntropyEngine
 from repro.hypergraph.transversal import bits, minimal_transversals
 
@@ -95,16 +94,6 @@ class MinerResult:
 
 
 _Node = tuple[int, ...]
-
-
-def _canon(parts: Iterable[int]) -> _Node:
-    # Blocks are disjoint and non-empty, so their lowest bits are distinct.
-    return tuple(sorted(parts, key=lambda p: p & -p))
-
-
-def _refines(o: _Node, m: _Node) -> bool:
-    """Every block of ``o`` lies inside a block of ``m``."""
-    return all(any(d & e == d for e in m) for d in o)
 
 
 #: Per-miner counters reported in ``MinerResult.stats`` (per run).
@@ -175,7 +164,7 @@ class MVDMiner:
                     break
             else:
                 done.append(c)
-        return _canon(done)
+        return canon(done)
 
     def get_full_mvds(self, key: int, pair: int = 0, k: float = math.inf) -> list[MVD]:
         """Up to ``k`` full eps-MVDs with key ``key`` (separating the two
@@ -222,10 +211,9 @@ class MVDMiner:
         full = []
         for m in found:
             self.deadline.check()
-            if not any(len(o) > len(m) and _refines(o, m) for o in found):
+            if not any(len(o) > len(m) and refines(o, m) for o in found):
                 full.append(m)
-        attrs = self.engine.attrs
-        return sorted((MVD.of(attrs(key), map(attrs, m)) for m in full), key=str)
+        return sorted((MVD.of(key, m, self.engine.names) for m in full), key=str)
 
     # ------------------------------------------------------------------
     # separator predicate (Def. 5.5), memoized

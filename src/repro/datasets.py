@@ -222,10 +222,8 @@ def load(name: str, *, rows_cap: int = 2_000, noise: float = 0.02) -> pd.DataFra
     """Generate the synthetic analog of a Table-2 dataset.
 
     Row counts are ``min(paper_rows, rows_cap)`` -- the scale-down
-    substitution documented in DESIGN.md. ``nursery`` is also accepted.
+    substitution documented in DESIGN.md.
     """
-    if name == "nursery":
-        return nursery(noise=noise)
     s = _BY_NAME[name]
     return planted_relation(
         s.n_cols,

@@ -7,10 +7,10 @@ for the J-measure of MVDs (Sec. 3.2), whose two-dependent case is the
 conditional mutual information ``I(Y;Z|X)`` (Eq. 2), and of acyclic
 schemas (Eq. 6).
 
-Attribute sets are int bitmasks inside the search stack: bit ``i`` is
-the i-th name of ``sorted(columns)``. The engine owns that map; every
-method taking an attribute set accepts names or a mask, and both reach
-the same memo entry.
+Attribute sets are int bitmasks inside the miner, MVDs and ASMiner: bit
+``i`` is ``names[i]``, the i-th of ``sorted(columns)``. The engine owns
+that map; every method taking an attribute set accepts names or a mask,
+and both reach the same memo entry.
 
 All entropies are in **bits** (log base 2), matching the paper's worked
 examples (``H(ABCDEF) = log 4 = 2`` in Example 3.4). Derived measures
@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.core.mvd import MVD
+from repro.core.mvd import MVD, names_of
 
 #: Tolerance added to every ``J <= eps`` / ``I > eps`` comparison. Exact
 #: dependencies produce J = 0 only up to float rounding of the entropy
@@ -52,8 +51,8 @@ class EntropyEngine(ABC):
             raise ValueError("duplicate column names")
         self.n_rows = int(n_rows)
         # Bit i stands for the i-th name in sorted order.
-        self._names = tuple(sorted(self.columns))
-        self.bit: dict[str, int] = {c: i for i, c in enumerate(self._names)}
+        self.names = tuple(sorted(self.columns))
+        self.bit: dict[str, int] = {c: i for i, c in enumerate(self.names)}
         self._cache: dict[int, float] = {0: 0.0}
         self.entropy_computations = 0  # cache misses (actual work)
         self.entropy_calls = 0  # all requests
@@ -63,8 +62,8 @@ class EntropyEngine(ABC):
         """The bitmask of ``cols``; a mask passes through after a range
         check. Raises ``KeyError`` for an unknown name or bit."""
         if isinstance(cols, int):
-            if cols < 0 or cols >> len(self._names):
-                raise KeyError(f"mask {cols:#x} has bits past the {len(self._names)} columns")
+            if cols < 0 or cols >> len(self.names):
+                raise KeyError(f"mask {cols:#x} has bits past the {len(self.names)} columns")
             return cols
         m = 0
         for c in cols:
@@ -73,7 +72,7 @@ class EntropyEngine(ABC):
 
     def attrs(self, mask: int) -> frozenset:
         """The names of the attributes in ``mask``."""
-        return frozenset(c for i, c in enumerate(self._names) if mask >> i & 1)
+        return names_of(mask, self.names)
 
     # -- core oracle ---------------------------------------------------
     @abstractmethod

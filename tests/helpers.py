@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import math
+import string
 
 import numpy as np
 import pandas as pd
 
 from repro.core.jointree import JoinTree
-from repro.core.mvd import MVD
+from repro.core.mvd import MVD, names_of
 from repro.entropy.local_pli import LocalPLIEngine
+
+#: The bit map of MVDs written over one-letter names: bit i is letter i.
+LETTERS = tuple(string.ascii_uppercase)
 
 #: Values of ``local_pli._DENSE_CELLS_PER_ROW`` that force each
 #: ``_combine`` kernel: bincount over the grid, or factorizing the cells.
@@ -73,9 +77,27 @@ def naive_entropy(pdf: pd.DataFrame, cols) -> float:
     return math.log2(n) - sum(c * math.log2(c) for c in counts) / n
 
 
+def mask_of(attrs, names=LETTERS) -> int:
+    """The mask of the names ``attrs`` (bit i is ``names[i]``)."""
+    return sum(1 << names.index(c) for c in set(attrs))
+
+
+def mvd(key, deps, names=LETTERS) -> MVD:
+    """The MVD ``key ->> deps`` written over names; pass ``engine.names``
+    to compare with a miner's output or to measure it on an engine."""
+    return MVD.of(mask_of(key, names), [mask_of(d, names) for d in deps], tuple(names))
+
+
+def over_names(m: MVD) -> tuple[frozenset, tuple[frozenset, ...]]:
+    """The key and dependents of ``m`` as frozensets of names."""
+    return names_of(m.key, m.names), tuple(names_of(d, m.names) for d in m.deps)
+
+
 def support_mvds(tree: JoinTree) -> list[MVD]:
     """``MVD(T)``: one MVD per edge -- key = bag intersection, dependents
-    = the attributes of the two subtrees minus the key (Sec. 3.1)."""
+    = the attributes of the two subtrees minus the key (Sec. 3.1). Bit i
+    is the i-th sorted attribute of the tree, as on an engine over them."""
+    names = tuple(sorted(frozenset().union(*tree.bags)))
     n = len(tree.bags)
     adj: dict[int, list[int]] = {i: [] for i in range(n)}
     for u, v in tree.edges:
@@ -98,5 +120,5 @@ def support_mvds(tree: JoinTree) -> list[MVD]:
         side_u = frozenset().union(*(tree.bags[i] for i in seen)) - key
         side_v = frozenset().union(*tree.bags) - key - side_u
         if side_u and side_v:
-            out.append(MVD.of(key, [side_u, side_v]))
+            out.append(mvd(key, [side_u, side_v], names))
     return out

@@ -8,6 +8,7 @@ from repro.entropy.local_pli import LocalPLIEngine
 from tests.helpers import (
     exact_jd_relation,
     fig1_relation,
+    mvd,
     random_relation,
     sec52_relation,
     support_mvds,
@@ -63,34 +64,34 @@ def test_sec52_counterexample():
     assert eng.entropy("X") == pytest.approx(0.0)
     for w in ("A", "AB", "ABC", "BC"):
         assert eng.entropy(w) == pytest.approx(1.0)
-    assert eng.j_mvd(MVD.of(x, ["AB", "C"])) == pytest.approx(1.0)
-    assert eng.j_mvd(MVD.of(x, ["AC", "B"])) == pytest.approx(1.0)
-    assert eng.j_mvd(MVD.of(x, ["BC", "A"])) == pytest.approx(1.0)
-    assert eng.j_mvd(MVD.of(x, ["A", "B", "C"])) == pytest.approx(2.0)
+    assert eng.j_mvd(mvd(x, ["AB", "C"], eng.names)) == pytest.approx(1.0)
+    assert eng.j_mvd(mvd(x, ["AC", "B"], eng.names)) == pytest.approx(1.0)
+    assert eng.j_mvd(mvd(x, ["BC", "A"], eng.names)) == pytest.approx(1.0)
+    assert eng.j_mvd(mvd(x, ["A", "B", "C"], eng.names)) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_prop52_refinement_monotone(seed):
     # phi >= psi (phi refines psi) implies J(phi) >= J(psi).
     eng = LocalPLIEngine(random_relation(80, "XABC", 3, seed))
-    fine = MVD.of("X", ["A", "B", "C"])
-    for coarse in (MVD.of("X", ["AB", "C"]), MVD.of("X", ["AC", "B"]),
-                   MVD.of("X", ["BC", "A"])):
+    fine = mvd("X", ["A", "B", "C"], eng.names)
+    for coarse in (mvd("X", ["AB", "C"], eng.names), mvd("X", ["AC", "B"], eng.names),
+                   mvd("X", ["BC", "A"], eng.names)):
         assert eng.j_mvd(fine) >= eng.j_mvd(coarse) - 1e-9
 
 
 def mvd_join(phi, psi):
     """``phi v psi`` (Lemma 5.4): the non-empty pairwise intersections of
     the dependents of two MVDs with one key."""
-    return MVD.of(phi.key, [a & b for a in phi.deps for b in psi.deps if a & b])
+    return MVD.of(phi.key, [a & b for a in phi.deps for b in psi.deps if a & b], phi.names)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_lemma54_join_bounds(seed):
     # J(phi v psi) <= J(phi) + m J(psi) and <= k J(phi) + J(psi).
     eng = LocalPLIEngine(random_relation(100, "XABCD", 3, seed + 50))
-    phi = MVD.of("X", ["AB", "CD"])
-    psi = MVD.of("X", ["AC", "BD"])
+    phi = mvd("X", ["AB", "CD"], eng.names)
+    psi = mvd("X", ["AC", "BD"], eng.names)
     j_join = eng.j_mvd(mvd_join(phi, psi))
     m, k = len(phi.deps), len(psi.deps)
     assert j_join <= eng.j_mvd(phi) + m * eng.j_mvd(psi) + 1e-9

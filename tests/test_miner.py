@@ -16,9 +16,10 @@ from repro.core.bruteforce import (
     brute_separates,
 )
 from repro.core.miner import Deadline, DeadlineReached, MVDMiner
-from repro.core.mvd import MVD
+from repro.core.mvd import canon
+from repro.core.schema_miner import enumerate_schemas
 from repro.entropy.local_pli import LocalPLIEngine
-from tests.helpers import exact_jd_relation, random_relation, sec52_relation
+from tests.helpers import exact_jd_relation, mvd, over_names, random_relation, sec52_relation
 
 EPSILONS = [0.0, 0.1, 0.3]
 SEEDS = range(4)
@@ -85,7 +86,7 @@ def test_exact_relation_fully_independent():
     # independent product: the empty set separates everything.
     res = MVDMiner(LocalPLIEngine(exact_jd_relation()), 0.0).mine()
     assert res.full_mvds == [
-        MVD.of("", ["A", "B", "C", "D", "E", "F"])
+        mvd("", ["A", "B", "C", "D", "E", "F"])
     ]
     assert all(seps == [frozenset()] for seps in res.minseps.values())
 
@@ -97,9 +98,9 @@ def test_sec52_full_mvd_multiplicity():
     miner = MVDMiner(eng, 1.0)
     got = set(miner.get_full_mvds(eng.mask("X")))
     assert got == {
-        MVD.of("X", ["AB", "C"]),
-        MVD.of("X", ["AC", "B"]),
-        MVD.of("X", ["BC", "A"]),
+        mvd("X", ["AB", "C"], eng.names),
+        mvd("X", ["AC", "B"], eng.names),
+        mvd("X", ["BC", "A"], eng.names),
     }
 
 
@@ -130,7 +131,7 @@ def test_two_column_relation():
     # Only candidate: {} ->> A|B. Independent product -> holds.
     pdf = pd.DataFrame([(0, 0), (0, 1), (1, 0), (1, 1)], columns=["A", "B"])
     res = MVDMiner(LocalPLIEngine(pdf), 0.0).mine()
-    assert res.full_mvds == [MVD.of("", ["A", "B"])]
+    assert res.full_mvds == [mvd("", ["A", "B"])]
 
 
 def test_deadline_returns_partial():
@@ -222,7 +223,8 @@ def test_results_are_canonical_and_deduped():
     res = MVDMiner(LocalPLIEngine(pdf), 0.3).mine()
     assert len(set(res.full_mvds)) == len(res.full_mvds)
     for m in res.full_mvds:
-        assert m.key.union(*m.deps) == frozenset("ABCD")
+        assert m.deps == canon(m.deps)
+        assert sum(m.deps) | m.key == 0b1111
 
 
 def test_minseps_only_skips_phase2():
@@ -336,14 +338,12 @@ def test_closure_matches_restart_scan(eps):
 
 
 def test_canon_orders_blocks_by_minimum():
-    from repro.core.miner import _canon
-
     rng = np.random.default_rng(3)
     attrs = ["A", "B", "a", "b", "age", "ab", "Z9", "z", "x_1", "x_10"]
     engine = LocalPLIEngine(pd.DataFrame({c: [0] for c in rng.permutation(attrs)}))
     for _ in range(200):
         parts = _random_partition(rng, list(rng.permutation(attrs)))
-        got = [engine.attrs(p) for p in _canon([engine.mask(p) for p in parts])]
+        got = [engine.attrs(p) for p in canon([engine.mask(p) for p in parts])]
         assert tuple(got) == _tuple_canon(parts)
         assert got == sorted(parts, key=min)
 
@@ -449,16 +449,27 @@ def test_one_transversal_round_per_separator(seed, eps):
 # names at the boundary, bit order from sorted names
 # ----------------------------------------------------------------------
 def test_results_are_reported_over_names():
+    """Names appear where results are reported: the minimal separators,
+    the text of an MVD and the bags of a schema. MVDs hold masks."""
     pdf = random_relation(30, "ABCDE", 2, 12)
-    res = MVDMiner(LocalPLIEngine(pdf), 0.3).mine()
+    engine = LocalPLIEngine(pdf)
+    res = MVDMiner(engine, 0.3).mine()
     assert res.n_minseps > 0 and res.n_full_mvds > 0
     for (a, b), seps in res.minseps.items():
         assert {a, b} <= set("ABCDE")
         for x in seps:
             assert type(x) is frozenset and x <= set("ABCDE") - {a, b}
     for m in res.full_mvds:
-        assert type(m) is MVD and type(m.key) is frozenset
-        assert all(type(d) is frozenset and d <= set("ABCDE") for d in m.deps)
+        assert type(m.key) is int and all(type(d) is int for d in m.deps)
+        key, deps = over_names(m)
+        k, ds = str(m).split(" ->> ")
+        assert k == ("".join(sorted(key)) or "{}")
+        assert ds.split("|") == ["".join(sorted(d)) for d in deps]
+    schemas = list(enumerate_schemas(res.full_mvds, engine.columns))
+    assert schemas
+    for s in schemas:
+        assert all(type(b) is frozenset and b <= set("ABCDE") for b in s.bags)
+        assert frozenset().union(*s.bags) == frozenset("ABCDE")
 
 
 def test_reduce_min_sep_drops_the_lowest_bits_first():

@@ -9,14 +9,14 @@ import repro.core.schema_miner as schema_miner
 from repro import datasets
 from repro.core.jointree import build_join_tree
 from repro.core.miner import DeadlineReached, MVDMiner
-from repro.core.mvd import MVD
+from repro.core.mvd import names_of
 from repro.core.schema_miner import (
     build_acyclic_schema,
     compatible,
     enumerate_schemas,
 )
 from repro.entropy.local_pli import LocalPLIEngine
-from tests.helpers import random_relation, support_mvds
+from tests.helpers import mask_of, mvd, random_relation, support_mvds
 
 
 def fs(*names):
@@ -63,8 +63,8 @@ def test_incompatible_crossing_mvds():
     # X ->> A|BC and A ->> X|BC over {X,A,B,C}: the second key A is not
     # contained in X union a single dependent side in a split-free way
     # with two-block crossings on both sides.
-    phi = MVD.of("X", ["AB", "C"])
-    psi = MVD.of("C", ["A", "BX"])
+    phi = mvd("X", ["AB", "C"])
+    psi = mvd("C", ["A", "BX"])
     # phi, psi cannot be the support of one join tree: verify the
     # definition's verdict is symmetric at least.
     assert compatible(phi, psi) == compatible(psi, phi)
@@ -79,45 +79,50 @@ def test_compatibility_symmetry_random():
         k1 = frozenset(rng.choice(attrs, rng.integers(0, 2), replace=False))
         rest1 = [a for a in attrs if a not in k1]
         cut = rng.integers(1, len(rest1))
-        phi = MVD.of(k1, [rest1[:cut], rest1[cut:]])
+        phi = mvd(k1, [rest1[:cut], rest1[cut:]])
         k2 = frozenset(rng.choice(attrs, rng.integers(0, 2), replace=False))
         rest2 = [a for a in attrs if a not in k2]
         cut2 = rng.integers(1, len(rest2))
-        psi = MVD.of(k2, [rest2[:cut2], rest2[cut2:]])
+        psi = mvd(k2, [rest2[:cut2], rest2[cut2:]])
         assert compatible(phi, psi) == compatible(psi, phi)
 
 
 # ---------------------------------------------------------------------------
 # BuildAcyclicSchema (Fig 9)
 # ---------------------------------------------------------------------------
+def build_over_names(q, omega):
+    """build_acyclic_schema on the bit map of ``q``'s MVDs, its bags as names."""
+    return {names_of(b, q[0].names) for b in build_acyclic_schema(q, mask_of(omega, q[0].names))}
+
+
 def test_build_from_paper_support():
     t = build_join_tree(fs("ABD", "ACD", "BDE", "AF"))
     sup = support_mvds(t)
-    bags = build_acyclic_schema(sup, "ABCDEF")
-    assert set(bags) == {
+    bags = build_over_names(sup, "ABCDEF")
+    assert bags == {
         frozenset("ABD"), frozenset("ACD"), frozenset("BDE"), frozenset("AF")
     }
 
 
 def test_build_single_mvd():
-    bags = build_acyclic_schema([MVD.of("X", ["A", "B"])], "XAB")
-    assert set(bags) == {frozenset("XA"), frozenset("XB")}
+    bags = build_over_names([mvd("X", ["A", "B"])], "XAB")
+    assert bags == {frozenset("XA"), frozenset("XB")}
 
 
 def test_build_multi_dependent_mvd():
-    bags = build_acyclic_schema([MVD.of("X", ["A", "B", "C"])], "XABC")
-    assert set(bags) == {frozenset("XA"), frozenset("XB"), frozenset("XC")}
+    bags = build_over_names([mvd("X", ["A", "B", "C"])], "XABC")
+    assert bags == {frozenset("XA"), frozenset("XB"), frozenset("XC")}
 
 
 def test_redundant_mvd_skipped():
     # After X ->> A|BC splits {XABC} into {XA, XBC}, the MVD
     # XBC ->> nothing-to-split is redundant; schema unchanged.
-    q = [MVD.of("X", ["A", "BC"])]
-    bags1 = build_acyclic_schema(q, "XABC")
-    q2 = q + [MVD.of("XA", ["B", "C"])]  # key XA inside no single bag? XA in XA bag only; splits nothing there
-    bags2 = build_acyclic_schema(q2, "XABC")
-    assert set(bags1) == {frozenset("XA"), frozenset("XBC")}
-    assert set(bags2) >= {frozenset("XA")}
+    q = [mvd("X", ["A", "BC"])]
+    bags1 = build_over_names(q, "XABC")
+    q2 = q + [mvd("XA", ["B", "C"])]  # key XA inside no single bag? XA in XA bag only; splits nothing there
+    bags2 = build_over_names(q2, "XABC")
+    assert bags1 == {frozenset("XA"), frozenset("XBC")}
+    assert bags2 >= {frozenset("XA")}
 
 
 def test_build_result_always_acyclic():
@@ -140,7 +145,7 @@ def test_theorem74_support_subset_of_q(seed):
     pdf = random_relation(40, "ABCDE", 2, seed + 80)
     res = MVDMiner(LocalPLIEngine(pdf), 0.4).mine()
     for schema in enumerate_schemas(res.full_mvds, "ABCDE", max_schemas=5):
-        keys = {m.key for m in schema.support}
+        keys = {names_of(m.key, m.names) for m in schema.support}
         for sep in (schema.tree.bags[u] & schema.tree.bags[v] for u, v in schema.tree.edges):
             assert sep in keys or any(sep <= k for k in keys)
 
@@ -199,7 +204,7 @@ def test_deadline_bounds_the_graph_build(monkeypatch):
     the first schema; an expired deadline must stop it before the first."""
     cols = "ABCDEFGH"
     mvds = [
-        MVD.of(key, [rest[:i], rest[i:]])
+        mvd(key, [rest[:i], rest[i:]])
         for key in combinations(cols, 2)
         for rest in [[c for c in cols if c not in key]]
         for i in (1, 3)
