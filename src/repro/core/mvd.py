@@ -9,6 +9,7 @@ structurally -- required by ``M_eps`` deduplication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 
@@ -61,7 +62,13 @@ class MVD:
         """self >= other: same key, every dependent of self inside one of other."""
         return self.key == other.key and refines(self.deps, other.deps)
 
-    def __str__(self) -> str:  # e.g. "AB ->> C|DE"
+    @cached_property
+    def label(self) -> str:
+        """The MVD over names, e.g. ``"AB ->> C|DE"``; rendered once, as
+        ASMiner sorts by it once per MIS. Not a field: no part of ``==``."""
         k = "".join(sorted(names_of(self.key, self.names))) or "{}"
         ds = "|".join("".join(sorted(names_of(d, self.names))) for d in self.deps)
         return f"{k} ->> {ds}"
+
+    def __str__(self) -> str:
+        return self.label

@@ -81,13 +81,17 @@ class EntropyEngine(ABC):
 
     def entropy(self, cols: Attrs) -> float:
         """Memoized H(cols); H(emptyset) = 0."""
-        m = self.mask(cols)
-        self.entropy_calls += 1
-        h = self._cache.get(m)
+        # The memo holds only checked masks, so a mask found in it needs
+        # no range check.
+        h = self._cache.get(cols) if isinstance(cols, int) else None
         if h is None:
-            h = self._entropy(m)
-            self.entropy_computations += 1
-            self._cache[m] = h
+            m = self.mask(cols)
+            h = self._cache.get(m)
+            if h is None:
+                h = self._entropy(m)
+                self.entropy_computations += 1
+                self._cache[m] = h
+        self.entropy_calls += 1
         return h
 
     # -- derived measures ----------------------------------------------
@@ -108,13 +112,16 @@ class EntropyEngine(ABC):
         """J of ``key ->> deps`` (Sec. 3.2); for two dependents it is
         I(Y;Z|key), Eq. (2), term for term."""
         key = self.mask(key)
+        # H(key) first: each H(key | d) of a one-attribute d then composes
+        # from the key's partition and one base partition.
+        h_key = self.entropy(key)
         total, j, m = key, 0.0, 0
         for d in deps:
             d = self.mask(d)
             total |= d
             j += self.entropy(key | d)
             m += 1
-        j = j - self.entropy(total) - (m - 1) * self.entropy(key)
+        j = j - self.entropy(total) - (m - 1) * h_key
         return max(0.0, j)
 
     def j_tree(self, bags: list[frozenset], edges: list[tuple[int, int]]) -> float:

@@ -15,15 +15,23 @@ miner's many correlated queries (``H(X)``, ``H(XY)``, ``H(XYZ)`` ...)
 therefore share work whatever order they arrive in.
 
 Intersecting partitions with ``n1`` and ``n2`` groups over ``N`` rows
-labels each row with its cell ``c1 * n2 + c2`` in the grid of group
-pairs. When ``n1 * n2 <= 8 N`` the cells are counted densely, with one
-``bincount`` over the grid; otherwise they are factorized first.
+labels each row with its cell ``c1 * (n2 + 1) + c2`` in the grid of
+group-id pairs. Cells in row 0 or column 0 of the grid hold the rows
+pruned on either side; they are zeroed before stripping, so no pass over
+the rows masks them. When the grid has at most ``8 N`` cells they are
+counted densely, with one ``bincount``; otherwise they are factorized
+first.
 
-Representation: a partition of attribute set ``a`` is an int array of
-length N mapping each row to its value-group id, with ``-1`` for rows
-whose value is a singleton (pruned). ``None`` stands for the all-
-singleton partition (every row distinct on ``a``), which absorbs any
-further composition -- the compressed fixpoint the paper relies on.
+Representation: a partition of attribute set ``a`` is an array of length
+N mapping each row to its value-group id ``1..k``, with ``0`` for rows
+whose value is a singleton (pruned). Codes are stored in the narrowest
+dtype that holds ``k`` (``uint8`` up to 255 groups, ``uint16`` up to
+65,535, else ``int32``), so a partition takes one to four bytes a row.
+``None`` stands for the all-singleton partition (every row distinct on
+``a``), which absorbs any further composition -- the compressed fixpoint
+the paper relies on. The cache of composed partitions is bounded by the
+bytes it holds (codes plus group sizes), ``_CACHE_BYTES``, and never
+shrinks below its ``_MIN_ENTRIES`` most recent entries.
 """
 from __future__ import annotations
 
@@ -41,14 +49,20 @@ _Partition = tuple[Optional[np.ndarray], int, Optional[np.ndarray]]
 _ALL_SINGLETON: _Partition = (None, 0, None)
 
 
+def _code_dtype(k: int) -> type:
+    """The narrowest dtype holding group ids ``0..k``."""
+    return np.uint8 if k <= 0xFF else np.uint16 if k <= 0xFFFF else np.int32
+
+
 def _strip(codes: np.ndarray, counts: np.ndarray) -> _Partition:
-    """Renumber groups, mapping groups of size < 2 to -1 (pruned)."""
+    """Renumber the groups of size >= 2 as ``1..k``; the rest go to 0."""
     keep = counts >= 2
     k = int(keep.sum())
     if k == 0:
         return _ALL_SINGLETON
-    remap = np.full(len(counts), -1, dtype=np.int32)
-    remap[keep] = np.arange(k, dtype=np.int32)
+    dtype = _code_dtype(k)
+    remap = np.zeros(len(counts), dtype=dtype)
+    remap[keep] = np.arange(1, k + 1, dtype=dtype)
     return remap[codes], k, counts[keep]
 
 
@@ -58,10 +72,18 @@ def _factorize_strip(values: np.ndarray) -> _Partition:
     return _strip(codes, counts)
 
 
+def _nbytes(part: _Partition) -> int:
+    codes, _, counts = part
+    return 0 if codes is None else codes.nbytes + counts.nbytes
+
+
 #: Bound on the bytes of composed partitions an engine caches.
 _CACHE_BYTES = 1 << 30
 
-#: Largest ``n1 * n2 / N`` for which ``_combine`` counts cells densely.
+#: Composed partitions an engine keeps whatever their size.
+_MIN_ENTRIES = 8
+
+#: Most grid cells per row for which ``_combine`` counts cells densely.
 _DENSE_CELLS_PER_ROW = 8
 
 
@@ -71,26 +93,32 @@ def _combine(p1: _Partition, p2: _Partition) -> _Partition:
     c2, n2, _ = p2
     if c1 is None or c2 is None:
         return _ALL_SINGLETON
-    # Each row's cell in the n1 x n2 grid of group pairs. Rows pruned on
-    # either side go to one sentinel cell past the grid.
-    n_cells = n1 * n2
-    cells = c1.astype(np.int64) * n2 + c2
-    cells[(c1 < 0) | (c2 < 0)] = n_cells
+    # Each row's cell in the (n1+1) x (n2+1) grid of group-id pairs; rows
+    # pruned on either side land in row 0 or column 0. int64 cells: int32
+    # ones are no faster, as ``bincount`` casts its input to intp.
+    width = n2 + 1
+    cells = c1.astype(np.int64)
+    cells *= width
+    cells += c2
+    n_cells = (n1 + 1) * width
     if n_cells <= _DENSE_CELLS_PER_ROW * len(cells):
-        counts = np.bincount(cells, minlength=n_cells + 1)
-        counts[n_cells] = 0
+        counts = np.bincount(cells, minlength=n_cells)
+        grid = counts.reshape(n1 + 1, width)
+        grid[0] = 0
+        grid[:, 0] = 0
         return _strip(cells, counts)
     codes, uniq = pd.factorize(cells)
     counts = np.bincount(codes)
-    counts[uniq == n_cells] = 0
+    counts[(uniq < width) | (uniq % width == 0)] = 0
     return _strip(codes, counts)
 
 
 class LocalPLIEngine(EntropyEngine):
     """Entropy oracle over an in-memory (pandas) snapshot of a relation.
 
-    ``_CACHE_BYTES`` bounds the memory spent on composed partitions
-    (base single-attribute partitions are always kept).
+    ``_CACHE_BYTES`` bounds the bytes held in composed partitions beyond
+    the ``_MIN_ENTRIES`` most recent (base single-attribute partitions
+    are always kept).
     """
 
     def __init__(self, pdf: pd.DataFrame):
@@ -100,8 +128,7 @@ class LocalPLIEngine(EntropyEngine):
             1 << self.bit[c]: _factorize_strip(pdf[c].to_numpy()) for c in cols
         }
         self._parts: OrderedDict[int, _Partition] = OrderedDict()
-        row_bytes = 4 * max(1, self.n_rows)
-        self._max_entries = max(8, _CACHE_BYTES // row_bytes)
+        self._held_bytes = 0  # _nbytes summed over self._parts
 
     @classmethod
     def from_spark(cls, df) -> "LocalPLIEngine":
@@ -138,8 +165,9 @@ class LocalPLIEngine(EntropyEngine):
             sub = self.partition(mask ^ top)
         part = _combine(sub, self._base[top])
         self._parts[mask] = part
-        while len(self._parts) > self._max_entries:
-            self._parts.popitem(last=False)
+        self._held_bytes += _nbytes(part)
+        while self._held_bytes > _CACHE_BYTES and len(self._parts) > _MIN_ENTRIES:
+            self._held_bytes -= _nbytes(self._parts.popitem(last=False)[1])
         return part
 
     # -- oracle ---------------------------------------------------------

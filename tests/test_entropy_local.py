@@ -25,8 +25,9 @@ def kernel(request, monkeypatch):
 
 def assert_same_partition(part, ref_codes: np.ndarray) -> None:
     """``part`` is the stripped form of the row grouping ``ref_codes``:
-    the same kept rows, the same groups up to relabeling, and ``counts[g]``
-    is the size of group ``g``."""
+    the same kept rows (pruned rows read 0), the same groups up to
+    relabeling as ``1..k``, and ``counts[g - 1]`` is the size of group
+    ``g``."""
     codes, k, counts = part
     ref_counts = np.bincount(ref_codes)
     assert k == int((ref_counts >= 2).sum())
@@ -34,9 +35,9 @@ def assert_same_partition(part, ref_codes: np.ndarray) -> None:
         assert codes is None and counts is None
         return
     kept = ref_counts[ref_codes] >= 2
-    np.testing.assert_array_equal(codes >= 0, kept)
+    np.testing.assert_array_equal(codes > 0, kept)
     assert sorted(counts.tolist()) == sorted(ref_counts[ref_counts >= 2].tolist())
-    np.testing.assert_array_equal(np.bincount(codes[kept], minlength=k), counts)
+    np.testing.assert_array_equal(np.bincount(codes[kept], minlength=k + 1), [0, *counts])
     # Each (ours, reference) label pair names one group: a bijection.
     pairs = set(zip(codes[kept].tolist(), ref_codes[kept].tolist()))
     assert len(pairs) == len(set(ref_codes[kept].tolist())) == k
@@ -111,7 +112,8 @@ def test_partition_strips_singletons():
     codes, k, counts = _factorize_strip(np.array([1, 1, 2, 3, 3, 3, 4]))
     assert k == 2
     assert sorted(counts.tolist()) == [2, 3]
-    assert (codes == -1).sum() == 2  # values 2 and 4
+    assert (codes == 0).sum() == 2  # values 2 and 4
+    assert sorted(set(codes.tolist())) == [0, 1, 2]
 
 
 def test_partition_all_singletons():
@@ -206,3 +208,63 @@ def test_miss_composes_from_any_cached_subset(monkeypatch):
     calls.clear()
     eng.entropy("ABCD")  # BCD is cached and is not a prefix
     assert len(calls) == 1
+
+
+def narrowest(k: int) -> type:
+    """The code dtype expected for a partition with ``k`` groups."""
+    return np.uint8 if k < 256 else np.uint16 if k < 65_536 else np.int32
+
+
+@pytest.mark.parametrize("k", [127, 128, 255, 256, 32_767, 32_768, 65_535, 65_536])
+def test_group_counts_at_dtype_limits(kernel, k):
+    """``A`` has ``k`` groups and ``AB`` has ``2k``, either side of the
+    uint8 and uint16 limits; rows 4k.. are pruned on one side or both."""
+    a = np.concatenate([np.repeat(np.arange(k), 4), [-1, -2, 0]])
+    b = np.concatenate([np.tile([0, 0, 1, 1], k), [5, 6, 7]])
+    order = np.random.default_rng(k).permutation(len(a))
+    a, b = a[order], b[order]
+    pa, pb = _factorize_strip(a), _factorize_strip(b)
+    assert pa[1] == k and pa[0].dtype == narrowest(k)
+    assert_same_partition(pa, joint_codes(a))
+    for pab in (_combine(pa, pb), _combine(pb, pa)):
+        assert pab[1] == 2 * k and pab[0].dtype == narrowest(2 * k)
+        assert_same_partition(pab, joint_codes(a, b))
+
+
+def test_cached_codes_use_narrowest_dtype(kernel):
+    eng = LocalPLIEngine(random_relation(3000, "ABCDE", 40, 4))
+    for cols in SUBSETS_4:
+        eng.entropy(cols)
+    parts = [*eng._base.values(), *eng._parts.values()]
+    assert {p[0].dtype for p in parts if p[0] is not None} == {np.dtype(np.uint8), np.dtype(np.uint16)}
+    for codes, k, _ in parts:
+        assert codes is None or codes.dtype == narrowest(k)
+
+
+def test_cache_bytes_bound_eviction(kernel, monkeypatch):
+    """The held bytes stay within ``_CACHE_BYTES`` unless only the
+    ``_MIN_ENTRIES`` most recent partitions are held, and eviction never
+    changes an H."""
+    pdf = random_relation(400, "ABCDEFG", 4, 7)
+    big = LocalPLIEngine(pdf)
+    monkeypatch.setattr(local_pli, "_CACHE_BYTES", 20_000)
+    small = LocalPLIEngine(pdf)
+    most = 0
+    for r in range(2, 8):
+        for cols in combinations("ABCDEFG", r):
+            assert small.entropy(cols) == pytest.approx(big.entropy(cols), abs=1e-12)
+            held = sum(local_pli._nbytes(p) for p in small._parts.values())
+            assert held == small._held_bytes
+            assert held <= 20_000 or len(small._parts) <= local_pli._MIN_ENTRIES
+            most = max(most, len(small._parts))
+    # The byte bound, not the entry floor, was binding; and it evicted.
+    assert local_pli._MIN_ENTRIES < most < small.entropy_computations
+
+
+def test_out_of_range_mask_rejected_after_memo_warms():
+    eng = LocalPLIEngine(random_relation(20, "ABC", 2, 0))
+    for m in range(8):
+        eng.entropy(m)
+    for bad in (8, 9, 1 << 40, -1):
+        with pytest.raises(KeyError):
+            eng.entropy(bad)
