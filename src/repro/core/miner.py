@@ -21,6 +21,15 @@ Implements Figures 3-6 of the paper plus the appendix optimization
   ``I(Ci;Cj|S) > eps`` is memoized per miner (:meth:`MVDMiner._dependent`),
   and a DFS child re-checks only its merged block against the parent's
   other blocks, which are already pairwise independent.
+- :meth:`MVDMiner.separates` -- the separator predicate (Def 5.5): X
+  separates A,B iff some eps-MVD with key X puts A and B in different
+  dependents. Merging dependents never raises J (Prop 5.1, Fig 16), so
+  such an MVD exists iff a two-block one does. ``X ->> A|U-A`` and
+  ``X ->> U-B|B`` (U = Omega - X) are two of those, so either one with
+  J <= eps is already an exact yes. After the necessary test
+  I(A;B|X) <= eps, the predicate tries these two witnesses, whose
+  entropies the pair's other keys share, and runs the closure and DFS
+  of getFullMVDs only when both fail.
 
 Attribute sets are the engine's int bitmasks (bit i is the i-th name in
 sorted order), so ReduceMinSep's global ordering (ascending bits) and
@@ -99,7 +108,7 @@ _Node = tuple[int, ...]
 #: Per-miner counters reported in ``MinerResult.stats`` (per run).
 _COUNTERS = (
     "nodes_explored", "truncated_searches", "dependence_tests", "dependence_memo_hits",
-    "separator_tests", "transversal_rounds",
+    "separator_tests", "witness_hits", "transversal_rounds",
 )
 
 
@@ -125,6 +134,7 @@ class MVDMiner:
         self.dependence_tests = 0
         self.dependence_memo_hits = 0
         self.separator_tests = 0  # separates() calls that miss _sep_memo
+        self.witness_hits = 0  # separator tests a two-block witness answered
         self.transversal_rounds = 0  # minimal_transversals() calls
 
     # ------------------------------------------------------------------
@@ -218,6 +228,19 @@ class MVDMiner:
     # ------------------------------------------------------------------
     # separator predicate (Def. 5.5), memoized
     # ------------------------------------------------------------------
+    def _witness(self, x: int, pair: int) -> bool:
+        """Whether ``X ->> A|U-A`` or ``X ->> B|U-B`` has J <= eps, where
+        U is every attribute outside X and A, B are the bits of ``pair``.
+
+        Either MVD separates A and B, so a yes is exact. Its entropies
+        are H(X), H(XA), H(XB), which the I(A;B|X) test has read, and
+        H(Omega), H(Omega-A), H(Omega-B), which every key of the pair
+        shares.
+        """
+        rest = self._all & ~x
+        low = pair & -pair
+        return any(self.engine.j_parts(x, (a, rest ^ a)) <= self.eps_eff for a in (low, pair ^ low))
+
     def separates(self, x: int, pair: int) -> bool:
         memo_key = (x, pair)
         hit = self._sep_memo.get(memo_key)
@@ -228,6 +251,9 @@ class MVDMiner:
         low = pair & -pair
         if self._dependent(x, low, pair ^ low):
             ans = False
+        elif self._witness(x, pair):
+            self.witness_hits += 1
+            ans = True
         else:
             truncated = self.truncated_searches
             ans = bool(self.get_full_mvds(x, pair, k=1))

@@ -27,6 +27,8 @@ N mapping each row to its value-group id ``1..k``, with ``0`` for rows
 whose value is a singleton (pruned). Codes are stored in the narrowest
 dtype that holds ``k`` (``uint8`` up to 255 groups, ``uint16`` up to
 65,535, else ``int32``), so a partition takes one to four bytes a row.
+Its non-singleton group sizes are stored the same way, in the narrowest
+dtype that holds N.
 ``None`` stands for the all-singleton partition (every row distinct on
 ``a``), which absorbs any further composition -- the compressed fixpoint
 the paper relies on. The cache of composed partitions is bounded by the
@@ -49,21 +51,22 @@ _Partition = tuple[Optional[np.ndarray], int, Optional[np.ndarray]]
 _ALL_SINGLETON: _Partition = (None, 0, None)
 
 
-def _code_dtype(k: int) -> type:
-    """The narrowest dtype holding group ids ``0..k``."""
-    return np.uint8 if k <= 0xFF else np.uint16 if k <= 0xFFFF else np.int32
+def _narrow_dtype(n: int) -> type:
+    """The narrowest dtype holding ``0..n``."""
+    return np.uint8 if n <= 0xFF else np.uint16 if n <= 0xFFFF else np.int32
 
 
 def _strip(codes: np.ndarray, counts: np.ndarray) -> _Partition:
-    """Renumber the groups of size >= 2 as ``1..k``; the rest go to 0."""
+    """Renumber the groups of size >= 2 as ``1..k``; the rest go to 0.
+    ``codes`` has one entry per row, so its length bounds every size."""
     keep = counts >= 2
-    k = int(keep.sum())
+    k = np.count_nonzero(keep)
     if k == 0:
         return _ALL_SINGLETON
-    dtype = _code_dtype(k)
+    dtype = _narrow_dtype(k)
     remap = np.zeros(len(counts), dtype=dtype)
     remap[keep] = np.arange(1, k + 1, dtype=dtype)
-    return remap[codes], k, counts[keep]
+    return remap[codes], k, counts[keep].astype(_narrow_dtype(len(codes)))
 
 
 def _factorize_strip(values: np.ndarray) -> _Partition:

@@ -91,7 +91,7 @@ def test_col_scalability_micro(monkeypatch):
 
 def test_col_scalability_marks_a_node_budget_cut(monkeypatch):
     monkeypatch.setattr(col_scalability, "DATASETS", ("reflns",))
-    monkeypatch.setattr(col_scalability, "FRACTIONS", (0.25,))
+    monkeypatch.setattr(col_scalability, "FRACTIONS", (0.5,))
     monkeypatch.setattr(col_scalability, "EPSILONS", (0.1,))
     monkeypatch.setattr(MVDMiner, "max_nodes", 1)
     df = run_col_scalability(rows_cap=200, per_run_timeout_s=20.0)

@@ -46,6 +46,66 @@ def test_separates_matches_brute(seed, eps):
                 )
 
 
+class _ClosureOnly(MVDMiner):
+    """The separator test without its two-block witness: every test that
+    passes I(A;B|X) <= eps runs the closure and the DFS."""
+
+    def _witness(self, x, pair):
+        return False
+
+
+def _every_separator_test(miner):
+    """Each (X, pair) over the miner's columns, with X outside the pair,
+    answered by ``miner.separates``."""
+    n = len(miner.engine.names)
+    out = {}
+    for pair in (1 << i | 1 << j for i, j in combinations(range(n), 2)):
+        rest = miner._all & ~pair
+        for x in range(1 << n):
+            if not x & ~rest:
+                out[x, pair] = miner.separates(x, pair)
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_witness_answers_like_the_closure(seed, eps):
+    # Eight rows: some keys separate at every eps, a few only by MVDs
+    # that put more than A or B on its side, which the witness misses.
+    pdf = random_relation(8, "ABCDE", 2, seed + 80)
+    engine, closure_engine, ref = LocalPLIEngine(pdf), LocalPLIEngine(pdf), LocalPLIEngine(pdf)
+    miner = MVDMiner(engine, eps)
+    got = _every_separator_test(miner)
+    want = _every_separator_test(_ClosureOnly(closure_engine, eps))
+    assert got == want and any(got.values())
+    for (x, pair), ans in got.items():
+        a, b = sorted(engine.attrs(pair))
+        assert ans == brute_separates(ref, engine.attrs(x), a, b, eps)
+    # The witness reads no entropy the closure does not, but for
+    # H(Omega), H(Omega-A) and H(Omega-B) of each pair.
+    shared = {miner._all ^ p for p in (0, *(1 << i for i in range(5)))}
+    assert set(engine._cache) <= set(closure_engine._cache) | shared
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_stats_count_witness_hits_per_run(eps):
+    # Independent factors AB, CD and E: exact separators at eps = 0 too.
+    pdf = (
+        random_relation(4, "AB", 2, 1)
+        .merge(random_relation(4, "CD", 2, 2), how="cross")
+        .merge(random_relation(4, "E", 2, 3), how="cross")
+    )
+    miner = MVDMiner(LocalPLIEngine(pdf), eps)
+    first = miner.mine()
+    assert 0 < first.stats["witness_hits"] == miner.witness_hits
+    assert first.stats["witness_hits"] <= first.stats["separator_tests"]
+    # A second run answers every test from the memo.
+    assert miner.mine().stats["witness_hits"] == 0
+    closure = _ClosureOnly(LocalPLIEngine(pdf), eps).mine()
+    assert closure.stats["witness_hits"] == 0
+    assert closure.minseps == first.minseps and closure.full_mvds == first.full_mvds
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("eps", EPSILONS)
 def test_min_seps_match_brute(seed, eps):
@@ -379,7 +439,7 @@ def test_each_dependence_test_reaches_the_engine_once():
 # node budget: truncated searches are reported, never memoized as "no"
 # ----------------------------------------------------------------------
 def test_truncated_search_is_reported_and_not_memoized():
-    pdf = random_relation(30, "ABCDE", 2, 22)
+    pdf = random_relation(30, "ABCDE", 2, 18)
     res = MVDMiner(LocalPLIEngine(pdf), 0.3).mine()
     assert res.complete and res.stats["truncated_searches"] == 0
 
