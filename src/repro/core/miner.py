@@ -30,6 +30,16 @@ Implements Figures 3-6 of the paper plus the appendix optimization
   I(A;B|X) <= eps, the predicate tries these two witnesses, whose
   entropies the pair's other keys share, and runs the closure and DFS
   of getFullMVDs only when both fail.
+- :meth:`MVDMiner.mine` -- MVDMiner (Fig 3) collects, for each pair
+  and each of its minimal separators X, the full MVDs with key X that
+  separate the pair. Many pairs share a key, so getFullMVDs runs once
+  per key with no pair constraint, and each pair keeps the MVDs that
+  separate it (:meth:`MVDMiner._shared_full_mvds`). That is exactly the
+  pair-constrained answer: the closure makes only merges that every
+  satisfying coarsening makes, so the DFS reaches a satisfying
+  refinement of each satisfying partition, and the post-filter keeps
+  exactly the finest ones; a refinement of a partition that separates
+  A,B separates them too.
 
 Attribute sets are the engine's int bitmasks (bit i is the i-th name in
 sorted order), so ReduceMinSep's global ordering (ascending bits) and
@@ -40,13 +50,16 @@ separator into names on the way out.
 
 A search that explores more than :attr:`MVDMiner.max_nodes` nodes is
 counted as truncated; its "no" is not memoized by
-:meth:`MVDMiner.separates`, and :attr:`MinerResult.complete` reports the
-run as partial.
+:meth:`MVDMiner.separates`, its MVDs are not shared by
+:meth:`MVDMiner._shared_full_mvds`, and :attr:`MinerResult.complete`
+reports the run as partial.
 
 Deviations from the pseudocode, documented in DESIGN.md: a visited set
-over canonical partitions (the merge graph is a DAG), and a
-post-filter dropping returned MVDs strictly refined by other returned
-MVDs (the paper's traversal can emit non-full satisfying MVDs).
+over canonical partitions (the merge graph is a DAG), a post-filter
+dropping returned MVDs strictly refined by other returned MVDs (the
+paper's traversal can emit non-full satisfying MVDs), and one
+getFullMVDs search per key in :meth:`MVDMiner.mine` instead of one per
+pair and separator.
 """
 from __future__ import annotations
 
@@ -108,7 +121,7 @@ _Node = tuple[int, ...]
 #: Per-miner counters reported in ``MinerResult.stats`` (per run).
 _COUNTERS = (
     "nodes_explored", "truncated_searches", "dependence_tests", "dependence_memo_hits",
-    "separator_tests", "witness_hits", "transversal_rounds",
+    "separator_tests", "witness_hits", "transversal_rounds", "full_searches", "full_shared",
 )
 
 
@@ -129,6 +142,8 @@ class MVDMiner:
         self._sep_memo: dict[tuple[int, int], bool] = {}
         # (key, Ci, Cj) with Ci < Cj -> I(Ci;Cj|key) > eps.
         self._dep_memo: dict[tuple[int, int, int], bool] = {}
+        # key -> get_full_mvds(key), from searches the node budget did not cut.
+        self._full_memo: dict[int, list[MVD]] = {}
         self.nodes_explored = 0
         self.truncated_searches = 0
         self.dependence_tests = 0
@@ -136,6 +151,8 @@ class MVDMiner:
         self.separator_tests = 0  # separates() calls that miss _sep_memo
         self.witness_hits = 0  # separator tests a two-block witness answered
         self.transversal_rounds = 0  # minimal_transversals() calls
+        self.full_searches = 0  # getFullMVDs runs made by mine()
+        self.full_shared = 0  # separators mine() answered from _full_memo
 
     # ------------------------------------------------------------------
     # getFullMVDs (Fig 6 / Fig 17)
@@ -224,6 +241,22 @@ class MVDMiner:
             if not any(len(o) > len(m) and refines(o, m) for o in found):
                 full.append(m)
         return sorted((MVD.of(key, m, self.engine.names) for m in full), key=str)
+
+    def _shared_full_mvds(self, key: int, pair: int) -> list[MVD]:
+        """``get_full_mvds(key, pair)``, from one search per key with no
+        pair constraint, shared by every pair that ``key`` separates. A
+        search the node budget cut is not memoized: its partial list is
+        not a fact."""
+        full = self._full_memo.get(key)
+        if full is None:
+            self.full_searches += 1
+            truncated = self.truncated_searches
+            full = self.get_full_mvds(key)
+            if self.truncated_searches == truncated:
+                self._full_memo[key] = full
+        else:
+            self.full_shared += 1
+        return [m for m in full if m.separates(pair)]
 
     # ------------------------------------------------------------------
     # separator predicate (Def. 5.5), memoized
@@ -321,9 +354,10 @@ class MVDMiner:
         minseps_only: bool = False,
     ) -> MinerResult:
         """Run the full miner; partial results on deadline or node budget
-        (see :attr:`MinerResult.complete`). getFullMVDs runs on each
-        separator as MineMinSeps yields it, so a run cut by the deadline
-        keeps the full MVDs of the separators found before it."""
+        (see :attr:`MinerResult.complete`). Each separator's full MVDs
+        are taken as MineMinSeps yields it, so a run cut by the deadline
+        keeps the full MVDs of the separators found before it. They come
+        from :meth:`_shared_full_mvds`."""
         t0 = time.monotonic()
         counts0 = [getattr(self, c) for c in _COUNTERS]
         info0 = self.engine.cache_info()
@@ -339,7 +373,7 @@ class MVDMiner:
                     seps.append(self.engine.attrs(x))
                     if minseps_only:
                         continue
-                    for m in self.get_full_mvds(x, pair):
+                    for m in self._shared_full_mvds(x, pair):
                         if m not in seen:
                             seen.add(m)
                             res.full_mvds.append(m)

@@ -10,8 +10,8 @@
 - ``schema_width`` / ``schema_int_width`` / #relations (Sec. 8.4) live
   in :mod:`repro.core.jointree`.
 
-Both metrics collect the schema's columns to the driver once and work on
-pandas frames there. ``R`` is a set of tuples (the paper's relations are
+Both metrics collect the relation to the driver once and work on pandas
+frames there. ``R`` is a set of tuples (the paper's relations are
 sets), so ``|R|`` defaults to the number of distinct rows. NULL is one
 value in grouping and joining, as in the entropy engines.
 """
@@ -34,8 +34,10 @@ _WEIGHT, _MESSAGE = 0, 1
 def _distinct_projections(
     df: DataFrame, bags: Sequence[frozenset]
 ) -> Iterator[pd.DataFrame]:
-    """Each bag's distinct projection, from one collect of the bags' columns."""
-    pdf = df.select(*sorted(frozenset().union(*bags))).toPandas()
+    """Each bag's distinct projection, from one collect of ``df``. A
+    schema covers every column of the relation it decomposes, so a
+    ``select`` of the bags' columns first would only add a Spark plan."""
+    pdf = df.toPandas()
     for bag in bags:
         yield pdf[sorted(bag)].drop_duplicates(ignore_index=True)
 

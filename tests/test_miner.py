@@ -557,3 +557,71 @@ def test_column_order_does_not_change_the_search(seed, eps):
     assert list(again.minseps.items()) == list(res.minseps.items())
     assert again.full_mvds == res.full_mvds
     assert again.stats == res.stats
+
+
+# ----------------------------------------------------------------------
+# one getFullMVDs search per key, shared by the pairs it separates
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_shared_full_mvds_match_the_pair_search_and_brute(seed, eps):
+    # Eight rows: keys separate at every eps, and pairs share them.
+    pdf = random_relation(8, "ABCDEF", 2, seed + 80)
+    engine, pair_engine, ref = LocalPLIEngine(pdf), LocalPLIEngine(pdf), LocalPLIEngine(pdf)
+    miner, pair_miner = MVDMiner(engine, eps), MVDMiner(pair_engine, eps)
+    checked = 0
+    for a, b in combinations("ABCDEF", 2):
+        pair = engine.mask((a, b))
+        for x in miner.mine_min_seps(pair):
+            got = miner._shared_full_mvds(x, pair)
+            assert got == pair_miner.get_full_mvds(x, pair)
+            assert got == brute_full_mvds(ref, engine.attrs(x), eps, (a, b))
+            checked += bool(got)
+    assert checked > 0 and miner.full_shared > 0
+
+
+def _count_full_searches(miner):
+    """Each key that ``miner`` hands getFullMVDs with no pair and no k,
+    with how many times it did so."""
+    keys: dict = {}
+    inner = miner.get_full_mvds
+
+    def counted(key, pair=0, k=math.inf):
+        if not pair and k == math.inf:
+            keys[key] = keys.get(key, 0) + 1
+        return inner(key, pair, k)
+
+    miner.get_full_mvds = counted
+    return keys
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3])
+def test_one_full_search_per_distinct_key(eps):
+    pdf = random_relation(20, "ABCDEFG", 3, 71)
+    miner = MVDMiner(LocalPLIEngine(pdf), eps)
+    keys = _count_full_searches(miner)
+    seps, searches, shared = [], 0, 0
+    for pair in combinations("ABCDEFG", 2):
+        res = miner.mine([pair])
+        assert res.complete
+        seps += res.minseps[pair]
+        searches += res.stats["full_searches"]
+        shared += res.stats["full_shared"]
+    assert set(keys.values()) == {1}
+    assert searches == len(keys) == len(set(seps)) < len(seps) == searches + shared
+
+
+def test_cut_full_search_is_not_shared(monkeypatch):
+    pdf = random_relation(20, "ABCDEFG", 3, 71)
+    monkeypatch.setattr(MVDMiner, "max_nodes", 1)
+    miner = MVDMiner(LocalPLIEngine(pdf), 0.3)
+    keys = _count_full_searches(miner)
+    res = miner.mine()
+    assert not res.complete and not res.timed_out
+    seps = [miner.engine.mask(x) for v in res.minseps.values() for x in v]
+    cut = set(keys) - set(miner._full_memo)
+    # A cut key is searched again for every pair it separates.
+    assert cut and any(seps.count(x) > 1 for x in cut)
+    assert all(keys[x] == seps.count(x) for x in cut)
+    assert all(keys[x] == 1 for x in miner._full_memo)
+    assert res.stats["full_searches"] == sum(keys.values())
