@@ -12,34 +12,41 @@ Implements Figures 3-6 of the paper plus the appendix optimization
   shrink under a fixed global attribute ordering (the completeness
   proof of Theorem 6.2 requires the ordering to be the same across
   calls).
-- :meth:`MVDMiner.get_full_mvds` -- getFullMVDs (Fig 6) as a DFS over
-  dependent-merges starting from the all-singleton MVD, with the
-  pairwise-consistency closure of Fig 16 as sound-and-complete pruning:
-  if I(Ci;Cj|S) > eps then *every* satisfying coarsening merges Ci and
-  Cj (I is monotone under grouping and bounded by J), so the merge can
-  be applied eagerly. The closure is incremental: each dependence test
-  ``I(Ci;Cj|S) > eps`` is memoized per miner (:meth:`MVDMiner._dependent`),
-  and a DFS child re-checks only its merged block against the parent's
-  other blocks, which are already pairwise independent.
+- :meth:`MVDMiner._splits` -- the one split search behind both
+  getFullMVDs and the separator predicate. It places the blocks of a
+  partition, one at a time, on S's side or on T's side, and drops a
+  partial placement once I(S0;T0|X) passes its slack: adding a block
+  never lowers I (chain rule, I >= 0). Every I comes from one memo per
+  miner (:meth:`MVDMiner._info`).
+- The pairwise-consistency closure of Fig 16 gives the blocks it
+  places: if I(Ci;Cj|X) > eps then *every* satisfying coarsening merges
+  Ci and Cj (I is monotone under grouping and bounded by J), so every
+  satisfying partition of U = Omega - X coarsens the closure root.
+- :meth:`MVDMiner.get_full_mvds` -- getFullMVDs (Fig 6), top-down.
+  Splitting a block C of a partition into C1|C2 adds exactly
+  I(C1;C2|X) to J. So from the one-block partition U, the children of a
+  satisfying partition are its single splits (into unions of root
+  blocks) that keep J <= eps, and the leaves are exactly the full
+  eps-MVDs: a partition is full iff no single split of it satisfies. A
+  satisfying root is the one full MVD.
 - :meth:`MVDMiner.separates` -- the separator predicate (Def 5.5): X
   separates A,B iff some eps-MVD with key X puts A and B in different
   dependents. Merging dependents never raises J (Prop 5.1, Fig 16), so
   such an MVD exists iff a two-block one does. ``X ->> A|U-A`` and
-  ``X ->> U-B|B`` (U = Omega - X) are two of those, so either one with
-  J <= eps is already an exact yes. After the necessary test
-  I(A;B|X) <= eps, the predicate tries these two witnesses, whose
-  entropies the pair's other keys share, and runs the closure and DFS
-  of getFullMVDs only when both fail.
+  ``X ->> U-B|B`` are two of those, so either one with J <= eps is
+  already an exact yes. After the necessary test I(A;B|X) <= eps, the
+  predicate tries these two witnesses, whose entropies the pair's other
+  keys share. When both fail, the answer is no if A and B share a
+  closure root block, and otherwise yes iff the split search, started
+  from A's block and B's block, places every other root block with
+  I(S;T|X) <= eps.
 - :meth:`MVDMiner.mine` -- MVDMiner (Fig 3) collects, for each pair
   and each of its minimal separators X, the full MVDs with key X that
   separate the pair. Many pairs share a key, so getFullMVDs runs once
-  per key with no pair constraint, and each pair keeps the MVDs that
-  separate it (:meth:`MVDMiner._shared_full_mvds`). That is exactly the
-  pair-constrained answer: the closure makes only merges that every
-  satisfying coarsening makes, so the DFS reaches a satisfying
-  refinement of each satisfying partition, and the post-filter keeps
-  exactly the finest ones; a refinement of a partition that separates
-  A,B separates them too.
+  per key and each pair keeps the MVDs that separate it
+  (:meth:`MVDMiner.shared_full_mvds`). That is exactly the
+  pair-constrained answer, since a refinement of a partition that
+  separates A,B separates them too.
 
 Attribute sets are the engine's int bitmasks (bit i is the i-th name in
 sorted order), so ReduceMinSep's global ordering (ascending bits) and
@@ -48,28 +55,27 @@ but :meth:`MVDMiner.mine` takes and yields masks only, MVDs included;
 ``mine`` turns each pair of names into a mask on the way in and each
 separator into names on the way out.
 
-A search that explores more than :attr:`MVDMiner.max_nodes` nodes is
-counted as truncated; its "no" is not memoized by
-:meth:`MVDMiner.separates`, its MVDs are not shared by
-:meth:`MVDMiner._shared_full_mvds`, and :attr:`MinerResult.complete`
-reports the run as partial.
+A getFullMVDs search that visits more than :attr:`MVDMiner.max_nodes`
+partitions is counted as truncated; its MVDs are not shared by
+:meth:`MVDMiner.shared_full_mvds`, and :attr:`MinerResult.complete`
+reports the run as partial. Its leaves are full all the same, so a cut
+search returns a subset of the true answer. The separator predicate has
+no node budget: it is exact, and only the deadline stops it, by raising.
 
-Deviations from the pseudocode, documented in DESIGN.md: a visited set
-over canonical partitions (the merge graph is a DAG), a post-filter
-dropping returned MVDs strictly refined by other returned MVDs (the
-paper's traversal can emit non-full satisfying MVDs), and one
-getFullMVDs search per key in :meth:`MVDMiner.mine` instead of one per
-pair and separator.
+Deviations from the pseudocode, documented in DESIGN.md: getFullMVDs
+runs top-down over the satisfying partitions (with a visited set)
+instead of bottom-up over dependent merges, and :meth:`MVDMiner.mine`
+runs one getFullMVDs search per key instead of one per pair and
+separator.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from repro.core.mvd import MVD, canon, refines
+from repro.core.mvd import MVD, canon
 from repro.entropy.base import FLOAT_TOL, EntropyEngine
 from repro.hypergraph.transversal import bits, minimal_transversals
 
@@ -121,7 +127,8 @@ _Node = tuple[int, ...]
 #: Per-miner counters reported in ``MinerResult.stats`` (per run).
 _COUNTERS = (
     "nodes_explored", "truncated_searches", "dependence_tests", "dependence_memo_hits",
-    "separator_tests", "witness_hits", "transversal_rounds", "full_searches", "full_shared",
+    "separator_tests", "witness_hits", "split_nodes", "transversal_rounds", "full_searches",
+    "full_shared",
 )
 
 
@@ -140,52 +147,50 @@ class MVDMiner:
         self._all = (1 << len(engine.columns)) - 1
         # (X, A|B) -> X separates A, B.
         self._sep_memo: dict[tuple[int, int], bool] = {}
-        # (key, Ci, Cj) with Ci < Cj -> I(Ci;Cj|key) > eps.
-        self._dep_memo: dict[tuple[int, int, int], bool] = {}
+        # (key, Ci, Cj) with Ci < Cj -> I(Ci;Cj|key).
+        self._info_memo: dict[tuple[int, int, int], float] = {}
         # key -> get_full_mvds(key), from searches the node budget did not cut.
         self._full_memo: dict[int, list[MVD]] = {}
-        self.nodes_explored = 0
+        self.nodes_explored = 0  # partitions getFullMVDs visited
         self.truncated_searches = 0
         self.dependence_tests = 0
         self.dependence_memo_hits = 0
         self.separator_tests = 0  # separates() calls that miss _sep_memo
         self.witness_hits = 0  # separator tests a two-block witness answered
+        self.split_nodes = 0  # partial placements the split search visited
         self.transversal_rounds = 0  # minimal_transversals() calls
         self.full_searches = 0  # getFullMVDs runs made by mine()
         self.full_shared = 0  # separators mine() answered from _full_memo
 
     # ------------------------------------------------------------------
-    # getFullMVDs (Fig 6 / Fig 17)
+    # the split search, getFullMVDs (Fig 6 / Fig 17) and Def 5.5
     # ------------------------------------------------------------------
-    def _dependent(self, key: int, ci: int, cj: int) -> bool:
-        """Memoized dependence test I(Ci;Cj|key) > eps."""
+    def _info(self, key: int, ci: int, cj: int) -> float:
+        """Memoized I(Ci;Cj|key)."""
         memo_key = (key, ci, cj) if ci < cj else (key, cj, ci)
-        dep = self._dep_memo.get(memo_key)
-        if dep is None:
+        info = self._info_memo.get(memo_key)
+        if info is None:
             self.dependence_tests += 1
-            dep = self.engine.mutual_info(ci, cj, key) > self.eps_eff
-            self._dep_memo[memo_key] = dep
+            info = self._info_memo[memo_key] = self.engine.mutual_info(ci, cj, key)
         else:
             self.dependence_memo_hits += 1
-        return dep
+        return info
 
-    def _closure(self, key: int, done: list[int], todo: list[int], pair: int) -> _Node | None:
-        """Pairwise-consistency closure (Fig 16): merge dependent blocks
-        until every pair has I(Ci;Cj|key) <= eps; None if A,B get merged
-        (``pair`` is the mask of A and B, or 0).
+    def _closure(self, key: int, todo: list[int]) -> _Node:
+        """Pairwise-consistency closure (Fig 16) of the blocks ``todo``:
+        merge dependent blocks until every pair has I(Ci;Cj|key) <= eps.
 
-        ``done`` must be pairwise independent. Each block popped from
-        ``todo`` is tested against ``done`` only: a dependent partner is
+        Each block popped from ``todo`` is tested against the blocks
+        done, which are pairwise independent: a dependent partner is
         merged into it and the union goes back onto ``todo``. I is
         monotone under grouping, so every merge is forced in any order
-        and the fixpoint (and the A,B abort) does not depend on it.
+        and the fixpoint does not depend on it.
         """
+        done: list[int] = []
         while todo:
             c = todo.pop()
             for t, d in enumerate(done):
-                if self._dependent(key, c, d):
-                    if c & pair and d & pair:
-                        return None
+                if self._info(key, c, d) > self.eps_eff:
                     del done[t]
                     todo.append(c | d)
                     break
@@ -193,60 +198,74 @@ class MVDMiner:
                 done.append(c)
         return canon(done)
 
-    def get_full_mvds(self, key: int, pair: int = 0, k: float = math.inf) -> list[MVD]:
-        """Up to ``k`` full eps-MVDs with key ``key`` (separating the two
-        attributes of ``pair``, if given)."""
-        if pair & key:
-            raise ValueError("pair attributes must not be in the key")
-        root = self._closure(key, [], bits(self._all & ~key), pair)
-        if root is None or len(root) < 2:
-            return []
-        # Every node keeps A and B in different blocks: the DFS never
-        # merges their blocks, and the closure aborts rather than do so.
-        found: list[_Node] = []
-        visited: set[_Node] = {root}
-        stack: list[_Node] = [root]
-        nodes = 0
-        while stack and len(found) < k:
-            self.deadline.check()
-            nodes += 1
-            self.nodes_explored += 1
-            if nodes > self.max_nodes:
-                self.truncated_searches += 1
-                break  # search budget; partial results (documented heuristic)
-            parts = stack.pop()
-            if self.engine.j_parts(key, parts) <= self.eps_eff:
-                found.append(parts)
-                continue
-            m = len(parts)
-            for i in range(m):
-                for j in range(i + 1, m):
-                    if parts[i] & pair and parts[j] & pair:
-                        continue  # never merge A's and B's components
-                    others = [p for t, p in enumerate(parts) if t not in (i, j)]
-                    if not others:
-                        continue
-                    child = self._closure(key, others, [parts[i] | parts[j]], pair)
-                    if child is None or len(child) < 2:
-                        continue
-                    if child not in visited:
-                        visited.add(child)
-                        stack.append(child)
-        # All found nodes partition the same attributes under one key, so
-        # "o strictly refines m" is "o has more blocks and refines m". The
-        # filter is quadratic in len(found), so it answers to the deadline.
-        full = []
-        for m in found:
-            self.deadline.check()
-            if not any(len(o) > len(m) and refines(o, m) for o in found):
-                full.append(m)
-        return sorted((MVD.of(key, m, self.engine.names) for m in full), key=str)
+    def _splits(self, key: int, s: int, t: int, rest: list[int], slack: float) -> Iterator:
+        """Each (S, T), T not empty, that places every block of ``rest``
+        on the side of ``s`` or of ``t`` while each partial placement
+        keeps I(S0;T0|key) within ``slack``.
 
-    def _shared_full_mvds(self, key: int, pair: int) -> list[MVD]:
-        """``get_full_mvds(key, pair)``, from one search per key with no
-        pair constraint, shared by every pair that ``key`` separates. A
-        search the node budget cut is not memoized: its partial list is
-        not a fact."""
+        Adding a block never lowers I (chain rule, I >= 0), so a partial
+        placement past the slack has no leaf within it. The prune allows
+        a FLOAT_TOL margin, so rounding cannot drop a leaf; callers
+        decide each leaf by an exact test. Every I is read through
+        :meth:`_info`.
+        """
+        bound = slack + FLOAT_TOL
+        stack = [(s, t, 0)]
+        while stack:
+            self.deadline.check()
+            self.split_nodes += 1
+            s, t, i = stack.pop()
+            if i < len(rest):
+                c = rest[i]
+                if not t or self._info(key, s | c, t) <= bound:
+                    stack.append((s | c, t, i + 1))
+                if self._info(key, s, t | c) <= bound:
+                    stack.append((s, t | c, i + 1))
+            elif t:
+                yield s, t
+
+    def get_full_mvds(self, key: int) -> list[MVD]:
+        """The full eps-MVDs with key ``key``, top-down: splitting a block
+        C into C1|C2 adds exactly I(C1;C2|key) to J, so from the one-block
+        partition the children of a satisfying partition are its single
+        splits that keep J <= eps, and its leaves are the full MVDs.
+        Every satisfying partition coarsens the closure root, so the
+        splits follow root blocks, and a satisfying root is the answer."""
+        root = self._closure(key, bits(self._all & ~key))
+        if len(root) < 2:
+            return []
+        if self.engine.j_parts(key, root) <= self.eps_eff:
+            return [MVD.of(key, root, self.engine.names)]
+        start: _Node = (self._all & ~key,)
+        found, visited, stack = [], {start}, [(start, 0.0)]
+        nodes0 = self.nodes_explored
+        while stack:
+            self.deadline.check()
+            self.nodes_explored += 1
+            if self.nodes_explored - nodes0 > self.max_nodes:
+                self.truncated_searches += 1
+                break  # search budget; the leaves found are full all the same
+            parts, j = stack.pop()
+            leaf = True
+            for i, c in enumerate(parts):
+                blocks = [r for r in root if r & c]
+                for s, t in self._splits(key, blocks[0], 0, blocks[1:], self.eps_eff - j):
+                    child = canon((*parts[:i], *parts[i + 1 :], s, t))
+                    j_child = self.engine.j_parts(key, child)
+                    if j_child <= self.eps_eff:
+                        leaf = False
+                        if child not in visited:
+                            visited.add(child)
+                            stack.append((child, j_child))
+            if leaf and len(parts) > 1:
+                found.append(parts)
+        return sorted((MVD.of(key, m, self.engine.names) for m in found), key=str)
+
+    def shared_full_mvds(self, key: int, pair: int) -> list[MVD]:
+        """The full eps-MVDs with key ``key`` that separate the two
+        attributes of ``pair``, from one search per key shared by every
+        pair. A search the node budget cut is not memoized: its partial
+        list is not the whole answer."""
         full = self._full_memo.get(key)
         if full is None:
             self.full_searches += 1
@@ -258,9 +277,6 @@ class MVDMiner:
             self.full_shared += 1
         return [m for m in full if m.separates(pair)]
 
-    # ------------------------------------------------------------------
-    # separator predicate (Def. 5.5), memoized
-    # ------------------------------------------------------------------
     def _witness(self, x: int, pair: int) -> bool:
         """Whether ``X ->> A|U-A`` or ``X ->> B|U-B`` has J <= eps, where
         U is every attribute outside X and A, B are the bits of ``pair``.
@@ -282,16 +298,18 @@ class MVDMiner:
         self.separator_tests += 1
         # Necessary condition (Prop. 5.1): I(A;B|X) <= J of any separating MVD.
         low = pair & -pair
-        if self._dependent(x, low, pair ^ low):
+        if self._info(x, low, pair ^ low) > self.eps_eff:
             ans = False
         elif self._witness(x, pair):
             self.witness_hits += 1
             ans = True
         else:
-            truncated = self.truncated_searches
-            ans = bool(self.get_full_mvds(x, pair, k=1))
-            if not ans and self.truncated_searches > truncated:
-                return ans  # a cut search's "no" is not a fact
+            root = self._closure(x, bits(self._all & ~x))
+            s, t = (next(c for c in root if c & side) for side in (low, pair ^ low))
+            ans = s != t and any(
+                self._info(x, *split) <= self.eps_eff
+                for split in self._splits(x, s, t, [c for c in root if not c & pair], self.eps_eff)
+            )
         self._sep_memo[memo_key] = ans
         return ans
 
@@ -357,7 +375,7 @@ class MVDMiner:
         (see :attr:`MinerResult.complete`). Each separator's full MVDs
         are taken as MineMinSeps yields it, so a run cut by the deadline
         keeps the full MVDs of the separators found before it. They come
-        from :meth:`_shared_full_mvds`."""
+        from :meth:`shared_full_mvds`."""
         t0 = time.monotonic()
         counts0 = [getattr(self, c) for c in _COUNTERS]
         info0 = self.engine.cache_info()
@@ -373,7 +391,7 @@ class MVDMiner:
                     seps.append(self.engine.attrs(x))
                     if minseps_only:
                         continue
-                    for m in self._shared_full_mvds(x, pair):
+                    for m in self.shared_full_mvds(x, pair):
                         if m not in seen:
                             seen.add(m)
                             res.full_mvds.append(m)

@@ -4,8 +4,9 @@ All rows, 10%-100% of the columns, eps in {0, 0.01, 0.1}, a fixed time
 limit per run; report the number of minimal separators discovered
 within the limit (the paper's wide datasets, e.g. Voter State at 45
 columns, time out while still reporting separators found). ``TL``
-marks a deadline only; ``complete`` is False when a deadline or the
-node budget cut the run (see :attr:`MinerResult.complete`).
+marks a deadline; ``complete`` is :attr:`MinerResult.complete`, which
+these separator-only runs lose to the deadline alone, since the
+separator test has no node budget.
 """
 from __future__ import annotations
 

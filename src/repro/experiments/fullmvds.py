@@ -1,14 +1,16 @@
 """Appendix Sec. 14.1 / Fig 18: from minimal separators to full MVDs.
 
 For each threshold: mine the minimal separators per attribute pair,
-then run getFullMVDs (K = inf) over every separator within a bounded
-window; report #minimal separators, #full MVDs, and the generation
-rate. The paper's observations, which we check: at eps = 0 the counts
-coincide; the gap grows with the threshold; rates reach tens of full
-MVDs per second. ``complete`` is phase 1's (see
-:attr:`MinerResult.complete`); the phase-2 window is cut by design, so
-``n_minseps_done`` counts the separators whose full MVDs phase 2 got
-before it, and the eps = 0 check compares the full MVDs with those.
+then collect the full MVDs of every separator within a bounded window,
+from one getFullMVDs search per key shared by the pairs it separates
+(:meth:`MVDMiner.shared_full_mvds`); report #minimal separators, #full
+MVDs, and the generation rate. The paper's observations, which we
+check: at eps = 0 the counts coincide; the gap grows with the
+threshold; rates reach tens of full MVDs per second. ``complete`` is
+phase 1's (see :attr:`MinerResult.complete`); the phase-2 window is cut
+by design, so ``n_minseps_done`` counts the separators whose full MVDs
+phase 2 got before it, and the eps = 0 check compares the full MVDs
+with those.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ def run_fullmvds(
             try:
                 for (a, b), seps in minseps.items():
                     for x in seps:
-                        found.update(phase2.get_full_mvds(engine.mask(x), engine.mask((a, b))))
+                        found.update(phase2.shared_full_mvds(engine.mask(x), engine.mask((a, b))))
                         done.add(x)
             except DeadlineReached:
                 pass

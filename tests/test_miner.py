@@ -48,7 +48,7 @@ def test_separates_matches_brute(seed, eps):
 
 class _ClosureOnly(MVDMiner):
     """The separator test without its two-block witness: every test that
-    passes I(A;B|X) <= eps runs the closure and the DFS."""
+    passes I(A;B|X) <= eps runs the closure and the split search."""
 
     def _witness(self, x, pair):
         return False
@@ -85,6 +85,19 @@ def test_witness_answers_like_the_closure(seed, eps):
     # H(Omega), H(Omega-A) and H(Omega-B) of each pair.
     shared = {miner._all ^ p for p in (0, *(1 << i for i in range(5)))}
     assert set(engine._cache) <= set(closure_engine._cache) | shared
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_split_search_answers_like_brute(seed, eps):
+    # Seven columns: closure roots of up to five blocks, which the split
+    # search of every test past I(A;B|X) places one by one.
+    pdf = random_relation(12, "ABCDEFG", 2, seed + 90)
+    miner, ref = _ClosureOnly(LocalPLIEngine(pdf), eps), LocalPLIEngine(pdf)
+    for (x, pair), ans in _every_separator_test(miner).items():
+        a, b = sorted(miner.engine.attrs(pair))
+        assert ans == brute_separates(ref, miner.engine.attrs(x), a, b, eps)
+    assert miner.split_nodes > 0
 
 
 @pytest.mark.parametrize("eps", EPSILONS)
@@ -127,7 +140,7 @@ def test_full_mvds_match_brute(seed, eps):
     for key in [frozenset(), frozenset("A"), frozenset("AB"), frozenset("CD")]:
         rest = sorted(set("ABCDE") - key)
         a, b = rest[0], rest[1]
-        got = set(miner.get_full_mvds(e1.mask(key), e1.mask((a, b))))
+        got = {m for m in miner.get_full_mvds(e1.mask(key)) if m.separates(e1.mask((a, b)))}
         want = set(brute_full_mvds(e2, key, eps, (a, b)))
         assert got == want, f"key={sorted(key)} eps={eps}"
 
@@ -173,18 +186,6 @@ def test_sec52_exact_separators():
     assert list(miner.mine_min_seps(ab)) == [eng.mask("C")]
     assert not miner.separates(0, ab)
     assert not miner.separates(eng.mask("X"), ab)
-
-
-def test_k_limits_results():
-    eng = LocalPLIEngine(sec52_relation())
-    miner = MVDMiner(eng, 1.0)
-    assert len(miner.get_full_mvds(eng.mask("X"), k=1)) == 1
-
-
-def test_pair_in_key_rejected():
-    miner = MVDMiner(LocalPLIEngine(random_relation(10, "ABC", 2, 0)), 0.0)
-    with pytest.raises(ValueError):
-        miner.get_full_mvds(miner.engine.mask("A"), miner.engine.mask("AB"))
 
 
 def test_two_column_relation():
@@ -243,7 +244,7 @@ def test_deadline_keeps_the_first_separators_full_mvds():
     miner.deadline = counter = _CallBudget(10**9)
     ab = miner.engine.mask("AB")
     first = next(miner.mine_min_seps(ab))
-    want = miner.get_full_mvds(first, ab)
+    want = [m for m in miner.get_full_mvds(first) if m.separates(ab)]
     assert want
     miner = MVDMiner(LocalPLIEngine(pdf), 0.0)
     miner.deadline = _CallBudget(10**9 - counter.left)
@@ -253,19 +254,20 @@ def test_deadline_keeps_the_first_separators_full_mvds():
     assert res.full_mvds == want
 
 
-def test_full_mvd_post_filter_checks_the_deadline():
-    """The DFS checks the deadline once per node; the refinement filter
-    after it must check too, so a search that finds many MVDs cannot run
-    past the deadline there."""
+def test_full_mvd_search_checks_the_deadline():
+    """The top-down search checks the deadline at each partition and at
+    each placement of its split search, so a deadline one check short of
+    a whole search stops it."""
     pdf = random_relation(40, "ABCDE", 2, 0)
     miner = MVDMiner(LocalPLIEngine(pdf), 0.3)
+    miner.deadline = counter = _CallBudget(10**9)
     assert miner.get_full_mvds(0)
-    nodes = miner.nodes_explored
+    checks = 10**9 - counter.left
+    assert miner.nodes_explored > 1 and miner.split_nodes > 0
     miner = MVDMiner(LocalPLIEngine(pdf), 0.3)
-    miner.deadline = _CallBudget(nodes)  # enough for the DFS alone
+    miner.deadline = _CallBudget(checks - 1)
     with pytest.raises(DeadlineReached):
         miner.get_full_mvds(0)
-    assert miner.nodes_explored == nodes
 
 
 def test_large_eps_trivial_separator():
@@ -301,7 +303,7 @@ def _tuple_canon(parts):
     return tuple(sorted(parts, key=lambda p: tuple(sorted(p))))
 
 
-def restart_scan_closure(engine, eps_eff, key, parts, pair):
+def restart_scan_closure(engine, eps_eff, key, parts):
     """The closure as first written: rescan all pairs from the start
     after every merge, with no memo."""
     parts = list(parts)
@@ -311,11 +313,6 @@ def restart_scan_closure(engine, eps_eff, key, parts, pair):
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
                 if engine.mutual_info(parts[i], parts[j], key) > eps_eff:
-                    if pair is not None:
-                        a, b = pair
-                        pi, pj = parts[i], parts[j]
-                        if (a in pi and b in pj) or (b in pi and a in pj):
-                            return None
                     parts[i] = parts[i] | parts[j]
                     del parts[j]
                     changed = True
@@ -335,18 +332,13 @@ def _random_partition(rng, attrs):
 
 
 def _closure_cases(rng, cols, n_cases):
-    """Random (key, starting partition, pair or None) triples."""
+    """Random (key, starting partition) pairs."""
     for _ in range(n_cases):
         key = frozenset(c for c in cols if rng.random() < 0.3)
         rest = sorted(set(cols) - key)
         if len(rest) < 2:
             continue
-        parts = _random_partition(rng, rest)
-        pair = None
-        if rng.random() < 0.7:
-            i, j = rng.choice(len(rest), size=2, replace=False)
-            pair = (rest[i], rest[j])
-        yield key, parts, pair
+        yield key, _random_partition(rng, rest)
 
 
 @pytest.mark.parametrize("eps", EPSILONS)
@@ -354,44 +346,35 @@ def test_closure_matches_restart_scan(eps):
     rng = np.random.default_rng(7)
     relations = [random_relation(30, "ABCDEF", 2, seed + 50) for seed in SEEDS]
     # A product of three random factors keeps fixpoints of >= 3 blocks
-    # at eps = 0, so DFS children get covered there too.
+    # at eps = 0, so closures of merged fixpoints get covered there too.
     relations.append(
         random_relation(4, "AB", 2, 1)
         .merge(random_relation(4, "CD", 2, 2), how="cross")
         .merge(random_relation(4, "EF", 2, 3), how="cross")
     )
     relations.append(sec52_relation())
-    outcomes = {"none": 0, "merged": 0, "child": 0}
+    outcomes = {"merged": 0, "child": 0}
     for pdf in relations:
         cols = list(pdf.columns)
         miner = MVDMiner(LocalPLIEngine(pdf), eps)
         ref_engine = LocalPLIEngine(pdf)
         mask = miner.engine.mask
-        for key, parts, pair in _closure_cases(rng, cols, 60):
-            want = restart_scan_closure(ref_engine, miner.eps_eff, key, parts, pair)
-            got = miner._closure(mask(key), [], [mask(p) for p in parts], mask(pair or ()))
-            if got is not None:
-                got = tuple(miner.engine.attrs(p) for p in got)
-            assert got == want, f"key={sorted(key)} parts={parts} pair={pair}"
-            if want is None:
-                outcomes["none"] += 1
-                continue
+        for key, parts in _closure_cases(rng, cols, 60):
+            want = restart_scan_closure(ref_engine, miner.eps_eff, key, parts)
+            got = miner._closure(mask(key), [mask(p) for p in parts])
+            got = tuple(miner.engine.attrs(p) for p in got)
+            assert got == want, f"key={sorted(key)} parts={parts}"
             if len(want) < len(parts):
                 outcomes["merged"] += 1
-            # A DFS child: a fixpoint with two of its blocks merged.
+            # A fixpoint with two of its blocks merged, closed again.
             if len(want) < 3:
                 continue
             i, j = rng.choice(len(want), size=2, replace=False)
             others = [p for t, p in enumerate(want) if t not in (i, j)]
             merged = want[i] | want[j]
-            want_child = restart_scan_closure(
-                ref_engine, miner.eps_eff, key, others + [merged], pair
-            )
-            got_child = miner._closure(
-                mask(key), [mask(p) for p in others], [mask(merged)], mask(pair or ())
-            )
-            if got_child is not None:
-                got_child = tuple(miner.engine.attrs(p) for p in got_child)
+            want_child = restart_scan_closure(ref_engine, miner.eps_eff, key, others + [merged])
+            got_child = miner._closure(mask(key), [mask(p) for p in others + [merged]])
+            got_child = tuple(miner.engine.attrs(p) for p in got_child)
             assert got_child == want_child, f"key={sorted(key)} parent={want}"
             outcomes["child"] += 1
     assert all(n > 0 for n in outcomes.values()), outcomes
@@ -429,14 +412,17 @@ def test_each_dependence_test_reaches_the_engine_once():
         for key in [frozenset(), frozenset("A"), frozenset("BC")]:
             rest = sorted(set("ABCDEF") - key)
             miner.get_full_mvds(engine.mask(key))
-            miner.get_full_mvds(engine.mask(key), engine.mask((rest[0], rest[-1])))
+            pair = engine.mask((rest[0], rest[-1]))
+            assert miner.separates(engine.mask(key), pair) == any(
+                m.separates(pair) for m in miner.get_full_mvds(engine.mask(key))
+            )
         assert max(seen.values()) == 1
         assert miner.dependence_tests == len(seen)
         assert miner.dependence_memo_hits > 0
 
 
 # ----------------------------------------------------------------------
-# node budget: truncated searches are reported, never memoized as "no"
+# node budget: truncated searches are reported; separator tests have none
 # ----------------------------------------------------------------------
 def test_truncated_search_is_reported_and_not_memoized():
     pdf = random_relation(30, "ABCDE", 2, 18)
@@ -450,25 +436,21 @@ def test_truncated_search_is_reported_and_not_memoized():
     assert not res.timed_out
     assert res.stats["truncated_searches"] > 0
 
+    # The split search of a separator test has no node budget: every
+    # answer is exact, and memoized.
     miner = MVDMiner(LocalPLIEngine(pdf), 0.3)
     miner.max_nodes = 1
     ref = LocalPLIEngine(pdf)
-    wrong_no = 0
     for a, b in combinations("ABCDE", 2):
         others = sorted(set("ABCDE") - {a, b})
         for r in range(len(others) + 1):
             for xs in combinations(others, r):
                 x = frozenset(xs)
-                cut = miner.truncated_searches
                 memo_key = (miner.engine.mask(x), miner.engine.mask((a, b)))
                 ans = miner.separates(*memo_key)
-                if miner.truncated_searches > cut and not ans:
-                    assert memo_key not in miner._sep_memo
-                    wrong_no += brute_separates(ref, x, a, b, 0.3)
-                else:
-                    assert miner._sep_memo[memo_key] == ans
-    # The budget really cut searches whose true answer is "yes".
-    assert wrong_no > 0
+                assert ans == brute_separates(ref, x, a, b, 0.3)
+                assert miner._sep_memo[memo_key] == ans
+    assert miner.truncated_searches == 0
 
 
 # ----------------------------------------------------------------------
@@ -573,23 +555,22 @@ def test_shared_full_mvds_match_the_pair_search_and_brute(seed, eps):
     for a, b in combinations("ABCDEF", 2):
         pair = engine.mask((a, b))
         for x in miner.mine_min_seps(pair):
-            got = miner._shared_full_mvds(x, pair)
-            assert got == pair_miner.get_full_mvds(x, pair)
+            got = miner.shared_full_mvds(x, pair)
+            assert got == [m for m in pair_miner.get_full_mvds(x) if m.separates(pair)]
             assert got == brute_full_mvds(ref, engine.attrs(x), eps, (a, b))
             checked += bool(got)
     assert checked > 0 and miner.full_shared > 0
 
 
 def _count_full_searches(miner):
-    """Each key that ``miner`` hands getFullMVDs with no pair and no k,
-    with how many times it did so."""
+    """Each key that ``miner`` hands getFullMVDs, with how many times it
+    did so."""
     keys: dict = {}
     inner = miner.get_full_mvds
 
-    def counted(key, pair=0, k=math.inf):
-        if not pair and k == math.inf:
-            keys[key] = keys.get(key, 0) + 1
-        return inner(key, pair, k)
+    def counted(key):
+        keys[key] = keys.get(key, 0) + 1
+        return inner(key)
 
     miner.get_full_mvds = counted
     return keys
@@ -625,3 +606,46 @@ def test_cut_full_search_is_not_shared(monkeypatch):
     assert all(keys[x] == seps.count(x) for x in cut)
     assert all(keys[x] == 1 for x in miner._full_memo)
     assert res.stats["full_searches"] == sum(keys.values())
+
+
+# ----------------------------------------------------------------------
+# a partial answer is a subset of the complete one
+# ----------------------------------------------------------------------
+def _within(part, whole):
+    """Whether each pair's separators and each full MVD of ``part`` are
+    also in ``whole``."""
+    return set(part.full_mvds) <= set(whole.full_mvds) and all(
+        set(seps) <= set(whole.minseps[pair]) for pair, seps in part.minseps.items()
+    )
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3, 0.6])
+def test_partial_answers_are_subsets_of_the_complete_one(eps, monkeypatch):
+    """Cut by the node budget or by the deadline, a run may miss
+    separators and MVDs, but what it reports is right: each separator
+    is minimal and each MVD is full. A ``minseps_only`` run makes no
+    budgeted search, so the budget never cuts it."""
+    partial = 0
+    for seed in range(10):
+        pdf = random_relation(30 + seed, "ABCDEFGH"[: 7 + seed % 2], 3, seed)
+        miner = MVDMiner(LocalPLIEngine(pdf), eps)
+        miner.deadline = counter = _CallBudget(10**9)
+        whole = miner.mine()
+        checks = 10**9 - counter.left
+        assert whole.complete
+        runs, only = [], []
+        for budget in (1, 2, 5, 20):
+            with monkeypatch.context() as m:
+                m.setattr(MVDMiner, "max_nodes", budget)
+                runs.append(MVDMiner(LocalPLIEngine(pdf), eps).mine())
+                only.append(MVDMiner(LocalPLIEngine(pdf), eps).mine(minseps_only=True))
+        for quarter in (1, 2, 3):
+            miner = MVDMiner(LocalPLIEngine(pdf), eps)
+            miner.deadline = _CallBudget(checks * quarter // 4)
+            runs.append(miner.mine())
+            assert runs[-1].timed_out
+        for res in runs + only:
+            assert _within(res, whole), f"seed={seed}"
+            partial += not res.complete
+        assert all(res.complete and res.minseps == whole.minseps for res in only)
+    assert partial > 0
